@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"strings"
 
-	"timeprotection/internal/channel"
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/hw"
 	"timeprotection/internal/snapshot"
@@ -63,11 +62,9 @@ func main() {
 		resume     = flag.Bool("resume", false, "skip artefacts already completed in -store (a killed run resumes with byte-identical output)")
 		snapshots  = flag.Bool("snapshots", true, "boot each machine configuration once and fork copy-on-write snapshots (output is byte-identical either way)")
 		snapStats  = flag.Bool("snapshot-stats", false, "report snapshot capture/fork/memo counters to stderr after the run")
-		batching   = flag.Bool("batching", true, "walk probe loops through the batch fast path (output is byte-identical either way; false forces the scalar loops)")
 	)
 	flag.Parse()
 	snapshot.SetEnabled(*snapshots)
-	channel.SetBatching(*batching)
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "tpbench: -resume requires -store DIR")
 		os.Exit(2)

@@ -17,6 +17,7 @@ import (
 	"timeprotection/internal/api"
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/fault"
+	"timeprotection/internal/memo"
 )
 
 // ForwardHeader marks a peer-forwarded request and carries the
@@ -137,7 +138,7 @@ type Cluster struct {
 	mu   sync.Mutex
 	down map[string]bool // last probe verdict per peer
 
-	flights forwardFlight // singleflight for the forwarding hop
+	flights memo.Group[string, fetched] // singleflight for the forwarding hop
 
 	stop      chan struct{}
 	probeLoop sync.WaitGroup
@@ -315,15 +316,23 @@ func EntryQuery(e experiments.PlanEntry) url.Values {
 // neither: the target marks it with CheckFailedHeader and FetchEntry
 // returns the rendered verdicts alongside experiments.ErrCheckFailed,
 // which the caller serves as the (correct, deterministic) result.
+// A panic in the hop becomes a memo.ErrPanic error for every waiter.
 func (c *Cluster) FetchEntry(ctx context.Context, target string, e experiments.PlanEntry) (body []byte, origin string, err error) {
-	key := e.CacheKey()
-	body, origin, err, shared := c.flights.do(key, func() ([]byte, string, error) {
-		return c.fetchOnce(ctx, target, e)
+	f, err, shared := c.flights.Do(e.CacheKey(), func() (fetched, error) {
+		body, origin, err := c.fetchOnce(ctx, target, e)
+		return fetched{body, origin}, err
 	})
 	if shared {
 		c.forwardShared.Add(1)
 	}
-	return body, origin, err
+	return f.body, f.origin, err
+}
+
+// fetched is one forwarding hop's answer: the body and how the target
+// served it.
+type fetched struct {
+	body   []byte
+	origin string
 }
 
 func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.PlanEntry) ([]byte, string, error) {
@@ -594,43 +603,4 @@ func (c *Cluster) Stats() Stats {
 		})
 	}
 	return st
-}
-
-// forwardFlight deduplicates concurrent outbound fetches of one key:
-// the forwarding hop's singleflight (the owner's own singleflight is
-// the second hop). Cleanup runs in a defer, so no error path can wedge
-// a key.
-type forwardFlight struct {
-	mu sync.Mutex
-	m  map[string]*forwardCall
-}
-
-type forwardCall struct {
-	done   chan struct{}
-	body   []byte
-	origin string
-	err    error
-}
-
-func (f *forwardFlight) do(key string, fn func() ([]byte, string, error)) (body []byte, origin string, err error, shared bool) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[string]*forwardCall)
-	}
-	if c, ok := f.m[key]; ok {
-		f.mu.Unlock()
-		<-c.done
-		return c.body, c.origin, c.err, true
-	}
-	c := &forwardCall{done: make(chan struct{})}
-	f.m[key] = c
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		delete(f.m, key)
-		f.mu.Unlock()
-		close(c.done)
-	}()
-	c.body, c.origin, c.err = fn()
-	return c.body, c.origin, c.err, false
 }

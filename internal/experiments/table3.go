@@ -7,7 +7,6 @@ import (
 	"timeprotection/internal/channel"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/mi"
-	"timeprotection/internal/snapshot"
 )
 
 // Table3Row is one resource's channel measurement across the three
@@ -56,39 +55,16 @@ func (r Table3Result) Render() string {
 	return out
 }
 
-// fixedSource is a rand.Source whose first (and only consumed) draw is
-// a predetermined value: it replays the shuffle-test seed recorded in a
-// memo key, so a memoized cell recomputes with exactly the rng draw the
-// unmemoized sweep would have handed it.
-type fixedSource int64
-
-func (s fixedSource) Int63() int64 { return int64(s) }
-func (fixedSource) Seed(int64)     {}
-
-// table3Cell measures one (resource, scenario) cell: run the channel,
-// then estimate M and M0. Untraced cells are memoized including the MI
-// analysis (the Table 2/6/7 idiom). mi.Analyze draws exactly one value
-// from rng (the ShuffleBound base seed); it is drawn *before* the memo
-// lookup so the stream position — and with it every later cell of the
-// sweep — is identical whether the cell hits or misses, and it is part
-// of the key so a cell is only ever served an analysis seeded the way
-// this sweep would have seeded it.
+// table3Cell measures one (resource, scenario) cell: run the channel
+// (memoized by channel.RunIntraCore when untraced), then estimate M and
+// M0. mi.Analyze draws exactly one value from rng, the ShuffleBound
+// base seed, so every cell consumes the sweep's stream identically.
 func table3Cell(s channel.Spec, r channel.Resource, rng *rand.Rand) (mi.Result, error) {
-	if s.Tracer != nil {
-		ds, err := channel.RunIntraCore(s, r)
-		if err != nil {
-			return mi.Result{}, err
-		}
-		return mi.Analyze(ds, rng), nil
+	ds, err := channel.RunIntraCore(s, r)
+	if err != nil {
+		return mi.Result{}, err
 	}
-	base := rng.Int63()
-	return snapshot.Memo(fmt.Sprintf("table3|%d|%d|%t|%+v", r, base, channel.Batching(), s), func() (mi.Result, error) {
-		ds, err := channel.RunIntraCore(s, r)
-		if err != nil {
-			return mi.Result{}, err
-		}
-		return mi.Analyze(ds, rand.New(fixedSource(base))), nil
-	})
+	return mi.Analyze(ds, rng), nil
 }
 
 // Table3 measures every intra-core channel under all three scenarios.

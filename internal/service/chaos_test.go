@@ -88,10 +88,7 @@ func TestChaosMixedLoadWithFaultInjection(t *testing.T) {
 	wg.Wait()
 
 	// No wedged singleflight keys.
-	s.flights.mu.Lock()
-	wedged := len(s.flights.flight)
-	s.flights.mu.Unlock()
-	if wedged != 0 {
+	if wedged := s.flights.InFlight(); wedged != 0 {
 		t.Errorf("%d singleflight keys still in flight after load drained", wedged)
 	}
 

@@ -13,7 +13,9 @@ import (
 	"timeprotection/internal/cluster"
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/hw"
+	"timeprotection/internal/memo"
 	"timeprotection/internal/session"
+	"timeprotection/internal/snapshot"
 	"timeprotection/internal/store"
 )
 
@@ -99,6 +101,13 @@ type Metrics struct {
 	Retries      uint64         `json:"retries"`
 	RunnerPanics uint64         `json:"runner_panics"`
 	Sessions     *session.Stats `json:"sessions,omitempty"`
+	// Snapshot is the process-wide snapshot layer under the drivers
+	// (captures, forks, run-memo hits) plus the bounded run memo's
+	// retained results; every server in the process shares both.
+	Snapshot struct {
+		snapshot.Counters
+		Memo memo.Stats `json:"memo"`
+	} `json:"snapshot"`
 }
 
 // Snapshot collects the current counters (also used by tests).
@@ -129,6 +138,8 @@ func (s *Server) Snapshot() Metrics {
 		stats := reg.Stats()
 		m.Sessions = &stats
 	}
+	m.Snapshot.Counters = snapshot.Stats()
+	m.Snapshot.Memo = snapshot.MemoStats()
 	return m
 }
 

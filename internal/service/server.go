@@ -36,6 +36,7 @@ import (
 	"timeprotection/internal/cluster"
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/fault"
+	"timeprotection/internal/memo"
 	"timeprotection/internal/session"
 	"timeprotection/internal/store"
 )
@@ -50,8 +51,10 @@ type BreakerStats = fault.BreakerStats
 
 // ErrRunnerPanic marks a driver panic that was recovered and converted
 // to an error; handlers translate it into 500 like any other runner
-// failure, and the panicking key stays retryable.
-var ErrRunnerPanic = errors.New("runner panicked")
+// failure, and the panicking key stays retryable. It is the memo
+// package's panic sentinel, so a panic caught by the singleflight
+// matches it too.
+var ErrRunnerPanic = memo.ErrPanic
 
 // Options configures a Server. The zero value selects sane defaults.
 type Options struct {
@@ -161,6 +164,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// CacheStats is a snapshot of the result cache's counters for /metricz.
+type CacheStats = memo.Stats
+
+// NewCache builds the in-memory result cache, bounded to max entries
+// (max <= 0 means 1024) and weighing entries by body length. Runs are
+// deterministic, so entries never expire.
+func NewCache(max int) *memo.LRU[string, []byte] {
+	return memo.NewLRU[string, []byte](max, func(b []byte) int64 { return int64(len(b)) })
+}
+
+// ContentKey hashes a canonical request description into the cache's
+// address space, which is the durable store's: the two tiers share
+// keys, and requests that mean the same run share an entry however they
+// were spelled.
+func ContentKey(canonical string) string { return store.Key(canonical) }
+
 // Cache-source values result reports and X-Cache carries. The strings
 // themselves live in internal/api — the one home of the wire protocol,
 // shared with internal/cluster — these are just short local names.
@@ -175,8 +194,8 @@ const (
 // breaker behind the HTTP API.
 type Server struct {
 	opts    Options
-	cache   *Cache
-	flights flightGroup
+	cache   *memo.LRU[string, []byte]
+	flights memo.Group[string, []byte]
 	pool    *Pool
 	breaker *fault.Breaker
 	mux     *http.ServeMux

@@ -419,3 +419,49 @@ func TestByteIdentityWithTpbench(t *testing.T) {
 		t.Fatalf("repeat not an identical cache hit (X-Cache=%q)", resp2.Header.Get(api.HeaderCache))
 	}
 }
+
+// TestMetriczSnapshotSection: /metricz exposes the process-wide
+// snapshot layer and its bounded run memo under "snapshot", so an
+// operator can see captures, forks and memo hits, and that the memo
+// stays within its bound.
+func TestMetriczSnapshotSection(t *testing.T) {
+	_, ts := newTestServer(t, Options{Parallel: 1})
+	snapshotSection := func() map[string]any {
+		_, mz := get(t, ts.URL+"/metricz")
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(mz), &doc); err != nil {
+			t.Fatalf("bad /metricz JSON: %v", err)
+		}
+		sec, ok := doc["snapshot"].(map[string]any)
+		if !ok {
+			t.Fatalf("/metricz has no snapshot section:\n%s", mz)
+		}
+		return sec
+	}
+	before := snapshotSection()
+	// Table 2 is seed-free, so the second seed's run is a memo hit.
+	for _, seed := range []string{"1", "2"} {
+		if resp, body := get(t, ts.URL+"/v1/artefacts/table2?platform=haswell&samples=30&seed="+seed); resp.StatusCode != 200 {
+			t.Fatalf("table2 seed %s: %d %s", seed, resp.StatusCode, body)
+		}
+	}
+	after := snapshotSection()
+	for _, f := range []string{"captures", "forks", "fallbacks", "disk_hits", "memo_hits"} {
+		if _, ok := after[f].(float64); !ok {
+			t.Errorf("snapshot.%s missing: %v", f, after)
+		}
+	}
+	if after["memo_hits"].(float64) <= before["memo_hits"].(float64) {
+		t.Errorf("memo_hits did not rise across a repeated seed-free run: %v -> %v", before["memo_hits"], after["memo_hits"])
+	}
+	m, ok := after["memo"].(map[string]any)
+	if !ok {
+		t.Fatalf("snapshot.memo missing: %v", after)
+	}
+	if m["capacity"] != float64(1024) || m["entries"].(float64) < 1 || m["entries"].(float64) > 1024 {
+		t.Errorf("snapshot.memo = %v, want 1..1024 entries of capacity 1024", m)
+	}
+	if _, ok := m["evictions"].(float64); !ok {
+		t.Errorf("snapshot.memo.evictions missing: %v", m)
+	}
+}

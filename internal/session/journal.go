@@ -151,33 +151,18 @@ func (r *Registry) restore(id string) (*Session, bool) {
 	if r.opts.Journal == nil || validID(id) != nil {
 		return nil, false
 	}
-	for {
+	s, _, _ := r.restoring.Do(id, func() (*Session, error) {
 		r.mu.Lock()
-		if s, ok := r.sessions[id]; ok {
-			r.mu.Unlock()
-			return s, true
-		}
-		if r.shut {
-			r.mu.Unlock()
-			return nil, false
-		}
-		if ch, inflight := r.restoring[id]; inflight {
-			r.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		r.restoring[id] = ch
+		s, live := r.sessions[id]
+		shut := r.shut
 		r.mu.Unlock()
-
-		s, ok := r.doRestore(id)
-
-		r.mu.Lock()
-		delete(r.restoring, id)
-		r.mu.Unlock()
-		close(ch)
-		return s, ok
-	}
+		if live || shut {
+			return s, nil
+		}
+		s, _ = r.doRestore(id)
+		return s, nil
+	})
+	return s, s != nil
 }
 
 func (r *Registry) doRestore(id string) (*Session, bool) {

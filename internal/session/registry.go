@@ -28,9 +28,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"timeprotection/internal/memo"
 )
 
 // Errors the service layer maps onto v1 error codes.
@@ -92,8 +95,8 @@ type Options struct {
 	// survives not just restarts but the permanent death of its owner.
 	// Called synchronously after the local journal write.
 	Replicate func(key string, body []byte)
-	// IDPrefix namespaces minted session IDs ("<prefix>-<n>", default
-	// "s"). Clustered daemons set a per-shard prefix
+	// IDPrefix namespaces minted session IDs ("<prefix>-<epoch>-<n>",
+	// default "s"). Clustered daemons set a per-shard prefix
 	// (IDPrefixForAddr) so IDs are unique across the ring.
 	IDPrefix string
 }
@@ -143,9 +146,10 @@ type Registry struct {
 
 	mu        sync.Mutex
 	sessions  map[string]*Session
-	restoring map[string]chan struct{} // per-ID restore singleflight
-	seq       uint64                   // ID mint counter
-	ord       uint64                   // insertion ordinal (List order)
+	restoring memo.Group[string, *Session] // per-ID restore singleflight
+	epoch     string                       // this incarnation's ID component (base-36 start time)
+	seq       uint64                       // ID mint counter
+	ord       uint64                       // insertion ordinal (List order)
 	shut      bool
 
 	stop chan struct{}
@@ -168,11 +172,14 @@ type Registry struct {
 // to stop the reaper and end every live session.
 func NewRegistry(opts Options) *Registry {
 	r := &Registry{
-		opts:      opts.withDefaults(),
-		sessions:  map[string]*Session{},
-		restoring: map[string]chan struct{}{},
-		stop:      make(chan struct{}),
+		opts:     opts.withDefaults(),
+		sessions: map[string]*Session{},
+		stop:     make(chan struct{}),
 	}
+	// The epoch is the start time on the wall clock, not Options.Clock:
+	// a restarted shard must read a later time than any earlier
+	// incarnation did, even under a test's frozen clock.
+	r.epoch = strconv.FormatInt(time.Now().UnixNano(), 36)
 	r.wg.Add(1)
 	go r.reapLoop()
 	return r
@@ -217,9 +224,11 @@ func (r *Registry) CreateWithID(id string, spec Spec) (*Session, error) {
 	return s, nil
 }
 
-// NewID mints an unused session ID ("<prefix>-<n>"), skipping IDs that
-// are live or still journaled from a previous run — reusing one would
-// overwrite a restorable session's journal.
+// NewID mints an unused session ID ("<prefix>-<epoch>-<n>"), skipping
+// IDs that are live or still journaled — reusing one would overwrite a
+// restorable session's journal. The epoch keeps it apart from every ID
+// an earlier incarnation of this shard minted, including IDs of
+// sessions that live on another shard.
 func (r *Registry) NewID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -229,7 +238,7 @@ func (r *Registry) NewID() string {
 func (r *Registry) newIDLocked() string {
 	for {
 		r.seq++
-		id := fmt.Sprintf("%s-%d", r.opts.IDPrefix, r.seq)
+		id := fmt.Sprintf("%s-%s-%d", r.opts.IDPrefix, r.epoch, r.seq)
 		if _, live := r.sessions[id]; live {
 			continue
 		}

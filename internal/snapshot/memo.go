@@ -1,56 +1,37 @@
 package snapshot
 
-import "sync"
+import "timeprotection/internal/memo"
 
 // Run memoization rides on the same determinism argument as machine
 // forking: an experiment run is a pure function of its configuration,
 // so when no event-retaining tracer is watching, identical runs can be
-// computed once per process and the result shared. Callers must treat
-// memoized values as immutable.
+// computed once and the result shared. Callers must treat memoized
+// values as immutable.
 
-type memoEntry struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
+// memoCapacity bounds the run memo and the snapshot registry, in
+// entries: far above the ~290 run keys and 35 snapshots of a two-seed
+// `tpbench -all`, it keeps a tpserved serving every seed finite.
+const memoCapacity = 1024
 
-var (
-	memoMu   sync.Mutex
-	memoVals = map[string]*memoEntry{}
-)
+var runs = memo.New[string, any](memoCapacity)
 
 // Memo returns the memoized result for key, computing it via compute on
 // first use. Concurrent callers for the same key block on a single
-// in-flight computation (singleflight). Errors are returned to every
-// waiter but not cached — the next caller retries. When snapshots are
-// disabled, Memo degrades to calling compute directly.
+// in-flight computation (singleflight). Errors — a panic in compute
+// included, which becomes a memo.ErrPanic error — reach every waiter
+// but are not retained: the next caller computes again. When snapshots
+// are disabled, Memo degrades to calling compute directly.
 func Memo[T any](key string, compute func() (T, error)) (T, error) {
 	if !Enabled() {
 		return compute()
 	}
-	memoMu.Lock()
-	if e, ok := memoVals[key]; ok {
-		memoMu.Unlock()
-		e.wg.Wait()
-		if e.err != nil {
-			var zero T
-			return zero, e.err
-		}
+	v, hit, err := runs.Do(key, func() (any, error) { return compute() })
+	if hit {
 		counters.memoHits.Add(1)
-		return e.val.(T), nil
 	}
-	e := &memoEntry{}
-	e.wg.Add(1)
-	memoVals[key] = e
-	memoMu.Unlock()
-
-	v, err := compute()
-	e.val, e.err = v, err
-	if err != nil {
-		memoMu.Lock()
-		delete(memoVals, key)
-		memoMu.Unlock()
-	}
-	e.wg.Done()
-	return v, err
+	t, _ := v.(T)
+	return t, err
 }
+
+// MemoStats returns the run memo's retained-result counters.
+func MemoStats() memo.Stats { return runs.Stats() }

@@ -36,6 +36,7 @@ import (
 	"timeprotection/internal/enc"
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
+	"timeprotection/internal/memo"
 	"timeprotection/internal/trace"
 )
 
@@ -93,14 +94,14 @@ func currentStore() Store {
 	return attached
 }
 
-// Counters exposes what the snapshot layer actually did, for tests and
-// the -stats flag.
+// Counters exposes what the snapshot layer actually did, for tests,
+// the -snapshot-stats flag and tpserved's /metricz.
 type Counters struct {
-	Captures  uint64 // cold boots performed to populate a snapshot
-	Forks     uint64 // systems decoded from a snapshot
-	Fallbacks uint64 // cold boots because forking was impossible
-	DiskHits  uint64 // snapshots loaded from the attached store
-	MemoHits  uint64 // memoized run results served
+	Captures  uint64 `json:"captures"`  // cold boots performed to populate a snapshot
+	Forks     uint64 `json:"forks"`     // systems decoded from a snapshot
+	Fallbacks uint64 `json:"fallbacks"` // cold boots because forking was impossible
+	DiskHits  uint64 `json:"disk_hits"` // snapshots loaded from the attached store
+	MemoHits  uint64 `json:"memo_hits"` // memoized run results served
 }
 
 var counters struct {
@@ -232,70 +233,51 @@ func storeKey(key string) string {
 	return "snap-" + hex.EncodeToString(sum[:])[:56]
 }
 
-// entry is one populated (or in-flight) snapshot in the process-wide
-// registry. Population runs under the entry's once, so concurrent
-// requests for the same configuration boot exactly one machine.
+// entry is one populated snapshot in the process-wide registry.
 type entry struct {
-	once   sync.Once
 	deltas *bootDeltas
 	state  []byte
-	err    error
 }
 
-var (
-	regMu    sync.Mutex
-	registry = map[string]*entry{}
-)
-
-func entryFor(key string) *entry {
-	regMu.Lock()
-	defer regMu.Unlock()
-	e, ok := registry[key]
-	if !ok {
-		e = &entry{}
-		registry[key] = e
-	}
-	return e
-}
+// registry holds the populated snapshots, bounded like the run memo.
+// Population runs under its singleflight, so concurrent requests for
+// the same configuration boot exactly one machine; a failed capture is
+// not retained, and the next request boots again.
+var registry = memo.New[string, *entry](memoCapacity)
 
 // Reset drops every cached snapshot and memoized run result. Tests use
 // it to exercise cold paths; it does not touch the attached store.
 func Reset() {
-	regMu.Lock()
-	registry = map[string]*entry{}
-	regMu.Unlock()
-	memoMu.Lock()
-	memoVals = map[string]*memoEntry{}
-	memoMu.Unlock()
+	registry.Reset()
+	runs.Reset()
 }
 
-// populate fills e under its once: from the attached store when a valid
-// persisted snapshot exists, otherwise by a capture cold boot via
-// capture(), which must return the encoded state and the boot's
-// observability deltas.
-func (e *entry) populate(kind byte, key string, capture func() (*bootDeltas, []byte, error)) {
-	e.once.Do(func() {
+// load returns the snapshot for key: from the registry, else from the
+// attached store when a valid persisted snapshot exists, otherwise by a
+// capture cold boot via capture(), which must return the encoded state
+// and the boot's observability deltas.
+func load(kind byte, key string, capture func() (*bootDeltas, []byte, error)) (*entry, error) {
+	e, _, err := registry.Do(key, func() (*entry, error) {
 		sk := storeKey(key)
 		if st := currentStore(); st != nil {
 			if b, ok := st.Get(sk); ok {
 				if d, state, err := parseBlob(kind, b); err == nil {
-					e.deltas, e.state = d, state
 					counters.diskHits.Add(1)
-					return
+					return &entry{deltas: d, state: state}, nil
 				}
 			}
 		}
 		d, state, err := capture()
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.deltas, e.state = d, state
 		counters.captures.Add(1)
 		if st := currentStore(); st != nil {
 			_ = st.Put(sk, blob(kind, d, state))
 		}
+		return &entry{deltas: d, state: state}, nil
 	})
+	return e, err
 }
 
 // NewSystem is the drop-in snapshot-aware replacement for
@@ -331,8 +313,7 @@ func forkSystem(opts core.Options) (*core.System, error) {
 		counters.fallbacks.Add(1)
 		return core.NewSystem(opts)
 	}
-	e := entryFor(SystemKey(opts))
-	e.populate(kindSystem, SystemKey(opts), func() (*bootDeltas, []byte, error) {
+	e, err := load(kindSystem, SystemKey(opts), func() (*bootDeltas, []byte, error) {
 		bootOpts := opts
 		bootOpts.Tracer = trace.NewSink(0)
 		sys, err := core.NewSystem(bootOpts)
@@ -346,10 +327,10 @@ func forkSystem(opts core.Options) (*core.System, error) {
 		d := deltasFrom(bootOpts.Tracer)
 		return &d, w.Bytes(), nil
 	})
-	if e.err != nil {
+	if err != nil {
 		// The capture boot failed; surface the same error a cold boot
 		// would produce.
-		return nil, e.err
+		return nil, err
 	}
 	sys, err := core.DecodeSystem(opts, enc.NewReader(e.state))
 	if err != nil {
@@ -380,8 +361,7 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 		return coldBoot()
 	}
 	key := KernelKey(plat, cfg)
-	e := entryFor(key)
-	e.populate(kindKernel, key, func() (*bootDeltas, []byte, error) {
+	e, err := load(kindKernel, key, func() (*bootDeltas, []byte, error) {
 		probe := trace.NewSink(0)
 		k, err := kernel.Boot(plat, cfg)
 		if err != nil {
@@ -395,8 +375,8 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 		d := deltasFrom(probe)
 		return &d, w.Bytes(), nil
 	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
 	k, err := kernel.DecodeKernel(plat, enc.NewReader(e.state))
 	if err != nil {

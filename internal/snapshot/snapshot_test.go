@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"timeprotection/internal/core"
 	"timeprotection/internal/enc"
@@ -354,6 +355,38 @@ func TestMemoSingleflight(t *testing.T) {
 		if v != 99 {
 			t.Fatalf("waiter %d got %d", i, v)
 		}
+	}
+}
+
+// TestMemoPanicLeavesKeyRetryable: a compute that panicked used to
+// leave its key registered with a WaitGroup nobody would release, so
+// the next Memo call for that key — the service retrying a recovered
+// runner panic, say — blocked forever and held its pool worker. The
+// panic must leave the key free: the next call computes again.
+func TestMemoPanicLeavesKeyRetryable(t *testing.T) {
+	reset(t)
+	func() {
+		defer func() { recover() }()
+		if _, err := snapshot.Memo("panics", func() (int, error) { panic("boom") }); err == nil {
+			t.Error("panicking compute returned no error")
+		}
+	}()
+	type result struct {
+		v   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		v, err := snapshot.Memo("panics", func() (int, error) { return 5, nil })
+		done <- result{v, err}
+	}()
+	select {
+	case r := <-done:
+		if r.v != 5 || r.err != nil {
+			t.Fatalf("Memo after a panic = %d, %v; want a recomputed 5", r.v, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Memo after a panicking compute still blocked — key wedged")
 	}
 }
 
