@@ -135,7 +135,18 @@ type Cache struct {
 	tags     []uint64  // sets*ways, row-major by set; invalidTag = empty
 	meta     []setMeta // one per set
 	pinMask  uint64    // Arm lockdown: ways excluded from normal fills
-	Stats    Stats
+	// nvalid counts the valid lines. It moves at every valid-bit
+	// transition and is re-derived on decode (never encoded), so an
+	// empty private cache answers a back-invalidation probe at once.
+	nvalid int
+	// aliases and aliasSets are InvalidateTag's search geometry: the
+	// number of sets a physical tag may index (more than one only for a
+	// virtually indexed cache spanning more than a page per way) and
+	// the set distance between them (a power of two, so the base set
+	// is a mask).
+	aliases   int
+	aliasSets int
+	Stats     Stats
 }
 
 // New builds a cache from cfg. It panics on a non-power-of-two geometry,
@@ -172,6 +183,13 @@ func New(cfg Config) *Cache {
 	for c.cfg.LineSize>>c.lineBits > 1 {
 		c.lineBits++
 	}
+	c.aliases = 1
+	if cfg.Virtual {
+		if span := sets * cfg.LineSize; span > pageSize {
+			c.aliases = span / pageSize
+		}
+	}
+	c.aliasSets = sets / c.aliases
 	return c
 }
 
@@ -256,10 +274,7 @@ func (c *Cache) AccessMasked(indexAddr, tagAddr uint64, write bool, wayMask uint
 // touch is the shared hot path of Access and Fill: one tag-match scan of
 // the set and, on a miss, an LRU fill restricted to wayMask. mark sets
 // the dirty bit (a store, or an already-dirty fill); demand selects
-// whether the access is counted in Stats (fills are not). The victim is
-// the lowest-indexed invalid admitted way, else the least recently used
-// admitted way from the nibble stack — exactly the line the former
-// minimum-stamp scan would have chosen, without the scan.
+// whether the access is counted in Stats (fills are not).
 func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, demand bool) (hit bool, ev Eviction) {
 	set := int((indexAddr >> c.lineBits) & c.setMask)
 	tag := tagAddr &^ c.lineMask
@@ -282,6 +297,16 @@ func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, dema
 	if demand {
 		c.Stats.Misses++
 	}
+	return false, c.fill(set, tag, mark, wayMask)
+}
+
+// fill installs the line-aligned tag into set after a failed tag match,
+// restricted to wayMask. The victim is the lowest-indexed invalid
+// admitted way, else the least recently used admitted way from the
+// nibble stack — exactly the line the former minimum-stamp scan would
+// have chosen, without the scan.
+func (c *Cache) fill(set int, tag uint64, mark bool, wayMask uint64) (ev Eviction) {
+	nways := c.cfg.Ways
 	m := &c.meta[set]
 	avail := uint16(wayMask) & c.availAll
 	victim := -1
@@ -300,16 +325,19 @@ func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, dema
 	}
 	if victim < 0 {
 		// Degenerate empty mask: the line is not cached at all.
-		return false, Eviction{}
+		return Eviction{}
 	}
 	bit := uint16(1) << uint(victim)
+	i := set*nways + victim
 	if m.valid&bit != 0 {
-		ev = Eviction{Tag: tags[victim], Valid: true, Dirty: m.dirty&bit != 0}
+		ev = Eviction{Tag: c.tags[i], Valid: true, Dirty: m.dirty&bit != 0}
 		if ev.Dirty {
 			c.Stats.Writebacks++
 		}
+	} else {
+		c.nvalid++
 	}
-	tags[victim] = tag
+	c.tags[i] = tag
 	m.valid |= bit
 	if mark {
 		m.dirty |= bit
@@ -317,7 +345,7 @@ func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, dema
 		m.dirty &^= bit
 	}
 	m.lru = lruToFront(m.lru, victim)
-	return false, ev
+	return ev
 }
 
 // Fill inserts a line without counting a demand access (used by
@@ -347,7 +375,9 @@ func (c *Cache) Contains(indexAddr, tagAddr uint64) bool {
 	return false
 }
 
-// ValidLines returns the number of valid lines (tests, occupancy checks).
+// ValidLines returns the number of valid lines (tests, occupancy checks),
+// counted from the per-set masks rather than read from the running
+// count, so tests can hold one against the other.
 func (c *Cache) ValidLines() int {
 	n := 0
 	for i := range c.meta {
@@ -404,6 +434,7 @@ func (c *Cache) Flush() (valid, dirty int) {
 		}
 		*m = setMeta{lru: stack}
 	}
+	c.nvalid = 0
 	c.Stats.Writebacks += uint64(dirty)
 	c.Stats.Flushes++
 	return valid, dirty
@@ -418,20 +449,24 @@ const pageSize = 4096
 // page-size-per-way, every alias set is searched (the index bits above
 // the page offset are unknown to a physical back-invalidation). This is
 // the mechanism behind an inclusive LLC: evicting a line there must
-// evict it from the private levels too.
+// evict it from the private levels too. Most such probes land on idle
+// cores' private caches, which hold nothing, so an empty cache answers
+// without looking at a set.
 func (c *Cache) InvalidateTag(tagAddr uint64) bool {
-	tag := c.lineAddr(tagAddr)
-	aliases := 1
-	if c.cfg.Virtual {
-		if span := c.sets * c.cfg.LineSize; span > pageSize {
-			aliases = span / pageSize
-		}
+	if c.nvalid == 0 {
+		return false
 	}
-	setsPerPage := c.sets / aliases
-	baseSet := c.SetOf(tagAddr) % setsPerPage
+	return c.invalidate(tagAddr)
+}
+
+// invalidate is InvalidateTag's search of a non-empty cache, kept out
+// of line so the empty-cache test inlines into every caller.
+func (c *Cache) invalidate(tagAddr uint64) bool {
+	tag := c.lineAddr(tagAddr)
+	baseSet := c.SetOf(tagAddr) & (c.aliasSets - 1)
 	found := false
-	for a := 0; a < aliases; a++ {
-		set := baseSet + a*setsPerPage
+	for a := 0; a < c.aliases; a++ {
+		set := baseSet + a*c.aliasSets
 		base := set * c.cfg.Ways
 		tags := c.tags[base : base+c.cfg.Ways]
 		for i := range tags {
@@ -440,6 +475,7 @@ func (c *Cache) InvalidateTag(tagAddr uint64) bool {
 				bit := uint16(1) << uint(i)
 				c.meta[set].valid &^= bit
 				c.meta[set].dirty &^= bit
+				c.nvalid--
 				found = true
 			}
 		}
@@ -483,5 +519,6 @@ func (c *Cache) FlushMatching(drop func(tag uint64) bool) (valid, dirty int) {
 			m.dirty &^= bit
 		}
 	}
+	c.nvalid -= valid
 	return valid, dirty
 }

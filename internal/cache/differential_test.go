@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"timeprotection/internal/enc"
 )
 
 // This file checks the optimised Cache against refCache, a naive
@@ -230,7 +233,11 @@ func (r *refCache) VisitLines(fn func(tag uint64, dirty bool)) {
 // TestCacheDifferential drives random operation sequences through the
 // real cache and the reference on several geometries, including a
 // virtually indexed cache with aliasing (span > page), and requires
-// identical results at every step.
+// identical results at every step. The cache's running valid-line count
+// must equal the per-set recount after every operation; periodically
+// the cache is also round-tripped through its snapshot codec and the
+// sequence continues on the decoded copy, whose count must be re-derived
+// and whose re-encoding must match byte for byte.
 func TestCacheDifferential(t *testing.T) {
 	geometries := []Config{
 		{Name: "tiny", Size: 1 << 10, Ways: 2, LineSize: 32, HitLatency: 1},
@@ -335,6 +342,26 @@ func TestCacheDifferential(t *testing.T) {
 					}
 				}
 
+				if got, want := real.nvalid, real.ValidLines(); got != want {
+					t.Fatalf("op %d: running valid count %d, recount %d", op, got, want)
+				}
+				if op%250 == 249 {
+					var w enc.Writer
+					real.EncodeState(&w)
+					dec := New(cfg)
+					if err := dec.DecodeState(enc.NewReader(w.Bytes())); err != nil {
+						t.Fatalf("op %d: decode: %v", op, err)
+					}
+					if got, want := dec.nvalid, dec.ValidLines(); got != want || got != real.nvalid {
+						t.Fatalf("op %d: decoded valid count %d, recount %d, original %d", op, got, want, real.nvalid)
+					}
+					var w2 enc.Writer
+					dec.EncodeState(&w2)
+					if !bytes.Equal(w.Bytes(), w2.Bytes()) {
+						t.Fatalf("op %d: re-encoding the decoded cache changed its bytes", op)
+					}
+					real = dec
+				}
 				if op%500 == 499 {
 					st := real.Stats
 					if st.Hits != ref.hits || st.Misses != ref.misses || st.Writebacks != ref.writebacks || st.Flushes != ref.flushes {

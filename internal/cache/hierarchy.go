@@ -297,8 +297,16 @@ func (h *Hierarchy) access(core int, vaddr, paddr uint64, write, ifetch bool) in
 	if l1.cfg.Virtual {
 		idx = vaddr
 	}
-	cycles := l1.cfg.HitLatency
 	hit, ev := l1.Access(idx, paddr, write)
+	return h.afterL1(core, l1, l1u, hit, ev, paddr, ifetch)
+}
+
+// afterL1 finishes a demand access whose L1 outcome is known — hit, or
+// miss with ev the line the L1 fill displaced: it records the outcome,
+// writes back a dirty victim, and on a miss walks the lower levels. It
+// returns the cycles of the whole cache side of the access.
+func (h *Hierarchy) afterL1(core int, l1 *Cache, l1u trace.Unit, hit bool, ev Eviction, paddr uint64, ifetch bool) int {
+	cycles := l1.cfg.HitLatency
 	if h.sink != nil {
 		h.observe(core, l1u, l1, hit, ev, paddr, l1.cfg.HitLatency)
 	}
@@ -428,17 +436,23 @@ func (h *Hierarchy) access(core int, vaddr, paddr uint64, write, ifetch bool) in
 	return cycles
 }
 
-// AccessFast attempts the common case of one user memory access — a
-// first-level TLB hit followed by an L1 hit — in a single pass over the
-// two set's worth of state. It first peeks both structures without
-// mutating anything; only when both would hit does it commit exactly
-// the state transitions, statistics and trace output the full
-// TLBLevel-then-access path produces for that case (TLB tick/stamp and
-// hit count, L1 LRU move, dirty mark and hit count, unit counters, and
-// the TLBHit/CacheHit events in path order). ok=false means nothing was
-// touched and the caller must run the full path from scratch; the batch
-// entry points in the hw layer are its only intended callers.
-func (h *Hierarchy) AccessFast(core int, vpn uint64, asid uint16, vaddr, paddr uint64, write, ifetch bool) (cycles int, ok bool) {
+// AccessFast performs one user memory access whose translation hits
+// the first-level TLB, in a single pass over the TLB set and the L1
+// set. It commits exactly the state transitions, statistics and trace
+// output of the TLBLevel-then-Data/Fetch path for that case (TLB
+// tick/stamp and hit count, the TLBHit event ahead of every cache
+// event, then the L1 access). An L1 hit commits in place; an L1 miss
+// fills from the set already scanned and continues down the hierarchy,
+// so a miss-heavy stream never scans a set twice.
+//
+// hint, when not negative, is the entry index an earlier call returned
+// for the same core, vpn and asid with no TLB operation in between: the
+// entry is known to match, so the TLB set is not scanned again. The
+// batch walk in the hw layer passes it for consecutive accesses to one
+// page. ent is the matching first-level entry, or -1 when the TLB
+// missed; then nothing was touched and the caller must run the full
+// path (translation cost, then Data or Fetch) from scratch.
+func (h *Hierarchy) AccessFast(core, hint int, vpn uint64, asid uint16, vaddr, paddr uint64, write, ifetch bool) (cycles, ent int) {
 	tlb := h.dtlb[core]
 	l1 := h.l1d[core]
 	l1u, tu := trace.UnitL1D, trace.UnitDTLB
@@ -447,17 +461,20 @@ func (h *Hierarchy) AccessFast(core int, vpn uint64, asid uint16, vaddr, paddr u
 		l1 = h.l1i[core]
 		l1u, tu = trace.UnitL1I, trace.UnitITLB
 	}
-	tbase := tlb.setOf(vpn) * tlb.cfg.Ways
-	thit := -1
-	for i := tbase; i < tbase+tlb.cfg.Ways; i++ {
-		e := &tlb.entries[i]
-		if e.valid && e.vpn == vpn && (e.global || e.asid == asid) {
-			thit = i
-			break
+	ent = hint
+	if ent < 0 {
+		if ent = tlb.find(vpn, asid); ent < 0 {
+			return 0, -1
 		}
 	}
-	if thit < 0 {
-		return 0, false
+	tlb.hit(ent)
+	if h.sink != nil {
+		ts := h.sink.Unit(tu)
+		ts.Accesses++
+		ts.Hits++
+		if h.sinkEvents {
+			h.sink.Emit(core, trace.TLBHit, tu, vpn, 0)
+		}
 	}
 	idx := paddr
 	if l1.cfg.Virtual {
@@ -467,39 +484,30 @@ func (h *Hierarchy) AccessFast(core int, vpn uint64, asid uint16, vaddr, paddr u
 	tag := paddr &^ l1.lineMask
 	base := set * l1.cfg.Ways
 	tags := l1.tags[base : base+l1.cfg.Ways : base+l1.cfg.Ways]
-	way := -1
-	for i := range tags {
-		if tags[i] == tag {
-			way = i
-			break
+	for way := range tags {
+		if tags[way] != tag {
+			continue
 		}
-	}
-	if way < 0 {
-		return 0, false
-	}
-	tlb.tick++
-	tlb.entries[thit].stamp = tlb.tick
-	tlb.Stats.Hits++
-	m := &l1.meta[set]
-	m.lru = lruToFront(m.lru, way)
-	if write {
-		m.dirty |= 1 << uint(way)
-	}
-	l1.Stats.Hits++
-	if h.sink != nil {
-		ts := h.sink.Unit(tu)
-		ts.Accesses++
-		ts.Hits++
-		st := h.sink.Unit(l1u)
-		st.Accesses++
-		st.Cycles += uint64(l1.cfg.HitLatency)
-		st.Hits++
-		if h.sinkEvents {
-			h.sink.Emit(core, trace.TLBHit, tu, vpn, 0)
-			h.sink.Emit(core, trace.CacheHit, l1u, tag, 0)
+		m := &l1.meta[set]
+		m.lru = lruToFront(m.lru, way)
+		if write {
+			m.dirty |= 1 << uint(way)
 		}
+		l1.Stats.Hits++
+		if h.sink != nil {
+			st := h.sink.Unit(l1u)
+			st.Accesses++
+			st.Cycles += uint64(l1.cfg.HitLatency)
+			st.Hits++
+			if h.sinkEvents {
+				h.sink.Emit(core, trace.CacheHit, l1u, tag, 0)
+			}
+		}
+		return l1.cfg.HitLatency, ent
 	}
-	return l1.cfg.HitLatency, true
+	l1.Stats.Misses++
+	ev := l1.fill(set, tag, write, l1.normalMask())
+	return h.afterL1(core, l1, l1u, false, ev, paddr, ifetch), ent
 }
 
 // observe records one demand access outcome on unit u: the counters,

@@ -39,6 +39,7 @@ type Prefetcher struct {
 	confirmed uint64 // the stream reached Trigger at least once
 	tick      uint64
 	lineBits  uint
+	pageLines uint64   // lines per 4 KiB page (a power of two)
 	mru       int      // stream index of the last hit: a streaming access
 	out       []uint64 // reusable OnAccess result buffer
 	// Issued counts prefetch lines launched (tests, ablation benches).
@@ -63,6 +64,7 @@ func NewPrefetcher(cfg PrefetcherConfig) *Prefetcher {
 	for cfg.LineSize>>p.lineBits > 1 {
 		p.lineBits++
 	}
+	p.pageLines = uint64(4096) >> p.lineBits
 	return p
 }
 
@@ -209,9 +211,8 @@ func (p *Prefetcher) OnAccess(paddr uint64) []uint64 {
 	// boundary pre-arms the following page's entry, so a long sequential
 	// sweep pays one training miss per page instead of Trigger (the
 	// behaviour of Intel's next-page prefetcher).
-	linesPerPage := uint64(4096) >> p.lineBits
-	if dir == 1 && lineAddr%linesPerPage >= linesPerPage-uint64(p.cfg.Degree) {
-		p.preArm(page+1, (page+1)*linesPerPage-1)
+	if dir == 1 && lineAddr&(p.pageLines-1) >= p.pageLines-uint64(p.cfg.Degree) {
+		p.preArm(page+1, (page+1)*p.pageLines-1)
 	}
 	return out
 }

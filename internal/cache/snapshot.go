@@ -41,7 +41,9 @@ func (c *Cache) EncodeState(w *enc.Writer) {
 }
 
 // DecodeState restores state encoded by EncodeState into a cache of the
-// same geometry.
+// same geometry. The running valid-line count is derived from the
+// decoded valid masks, never encoded, so the bytes are those of a cache
+// without one.
 func (c *Cache) DecodeState(r *enc.Reader) error {
 	c.pinMask = r.U64()
 	c.Stats.Hits = r.U64()
@@ -49,6 +51,7 @@ func (c *Cache) DecodeState(r *enc.Reader) error {
 	c.Stats.Writebacks = r.U64()
 	c.Stats.Flushes = r.U64()
 	ways := c.cfg.Ways
+	c.nvalid = 0
 	for set := range c.meta {
 		m := &c.meta[set]
 		m.lru = r.U64()
@@ -61,6 +64,7 @@ func (c *Cache) DecodeState(r *enc.Reader) error {
 		for v := m.valid; v != 0; v &= v - 1 {
 			c.tags[base+bits.TrailingZeros16(v)] = r.U64()
 		}
+		c.nvalid += bits.OnesCount16(m.valid)
 	}
 	return r.Err()
 }

@@ -61,19 +61,35 @@ func (t *TLB) Sets() int { return t.sets }
 
 func (t *TLB) setOf(vpn uint64) int { return int(vpn & t.setMask) }
 
-// Lookup reports whether (vpn, asid) is present, updating LRU state.
-// Global entries match any ASID.
-func (t *TLB) Lookup(vpn uint64, asid uint16) bool {
-	t.tick++
+// find returns the index of the entry translating (vpn, asid), or -1,
+// without touching any state. Global entries match any ASID.
+func (t *TLB) find(vpn uint64, asid uint16) int {
 	base := t.setOf(vpn) * t.cfg.Ways
 	for i := base; i < base+t.cfg.Ways; i++ {
 		e := &t.entries[i]
 		if e.valid && e.vpn == vpn && (e.global || e.asid == asid) {
-			e.stamp = t.tick
-			t.Stats.Hits++
-			return true
+			return i
 		}
 	}
+	return -1
+}
+
+// hit commits a lookup that matched entry i: the LRU tick and stamp and
+// the hit count.
+func (t *TLB) hit(i int) {
+	t.tick++
+	t.entries[i].stamp = t.tick
+	t.Stats.Hits++
+}
+
+// Lookup reports whether (vpn, asid) is present, updating LRU state.
+// Global entries match any ASID.
+func (t *TLB) Lookup(vpn uint64, asid uint16) bool {
+	if i := t.find(vpn, asid); i >= 0 {
+		t.hit(i)
+		return true
+	}
+	t.tick++
 	t.Stats.Misses++
 	return false
 }
@@ -102,16 +118,7 @@ func (t *TLB) Insert(vpn uint64, asid uint16, global bool) {
 }
 
 // Contains reports residency without touching LRU state (tests).
-func (t *TLB) Contains(vpn uint64, asid uint16) bool {
-	base := t.setOf(vpn) * t.cfg.Ways
-	for i := base; i < base+t.cfg.Ways; i++ {
-		e := &t.entries[i]
-		if e.valid && e.vpn == vpn && (e.global || e.asid == asid) {
-			return true
-		}
-	}
-	return false
-}
+func (t *TLB) Contains(vpn uint64, asid uint16) bool { return t.find(vpn, asid) >= 0 }
 
 // FlushAll invalidates every entry; if keepGlobal is true, global
 // mappings survive (the behaviour of a non-PCID TLB flush on x86, or of

@@ -141,23 +141,36 @@ func (m *Machine) Store(core int, as *memory.AddressSpace, vaddr uint64) int {
 
 // batchAccess runs the per-element body shared by the batch entry
 // points: each address goes through exactly the translate-then-access
-// sequence of the scalar Load/Store/Fetch, with the common case (L1 TLB
-// hit, L1 cache hit) taken in one pass by the hierarchy's fast path.
-// Per-access cycle costs are written into costs when non-nil, so
+// sequence of the scalar Load/Store/Fetch. Element i is a store when
+// stores[i] is set or, with stores nil, when write is. Whenever the
+// first-level TLB hits, the hierarchy's fast path takes the TLB and L1
+// in one pass, and an element on the same page as the one before reuses
+// that element's translation and TLB entry instead of looking either up
+// again. Per-access cycle costs are written into costs when non-nil, so
 // callers reconstructing fine-grained timestamps (the prime&probe miss
 // counters) see the same per-element clock a scalar loop would have
 // read.
-func (m *Machine) batchAccess(core int, as *memory.AddressSpace, vaddrs []uint64, costs []int, write, ifetch bool) {
+func (m *Machine) batchAccess(core int, as *memory.AddressSpace, vaddrs []uint64, stores []bool, costs []int, write, ifetch bool) {
 	cpu := m.Cores[core]
 	h := m.Hier
 	asid := as.ASID()
+	var tr memory.Translation
+	vpn, ent := ^uint64(0), -1 // no page yet: a vpn never exceeds 52 bits
 	for i, v := range vaddrs {
-		tr, ok := as.Translate(v)
-		if !ok {
-			panic(fmt.Sprintf("hw: core %d: unmapped access %#x (asid %d)", core, v, asid))
+		if stores != nil {
+			write = stores[i]
 		}
-		c, fast := h.AccessFast(core, v>>memory.PageBits, asid, v, tr.PAddr, write, ifetch)
-		if !fast {
+		if v>>memory.PageBits == vpn {
+			tr.PAddr = tr.Frame.Addr() | v&(memory.PageSize-1)
+		} else {
+			var ok bool
+			if tr, ok = as.Translate(v); !ok {
+				panic(fmt.Sprintf("hw: core %d: unmapped access %#x (asid %d)", core, v, asid))
+			}
+			vpn, ent = v>>memory.PageBits, -1
+		}
+		c, e := h.AccessFast(core, ent, vpn, asid, v, tr.PAddr, write, ifetch)
+		if e < 0 {
 			c = m.translateCost(core, as, v, tr, ifetch)
 			if ifetch {
 				c += h.Fetch(core, v, tr.PAddr)
@@ -165,6 +178,7 @@ func (m *Machine) batchAccess(core int, as *memory.AddressSpace, vaddrs []uint64
 				c += h.Data(core, v, tr.PAddr, write)
 			}
 		}
+		ent = e
 		cpu.Now += uint64(c)
 		if costs != nil {
 			costs[i] = c
@@ -176,18 +190,25 @@ func (m *Machine) batchAccess(core int, as *memory.AddressSpace, vaddrs []uint64
 // the same sequence of Load calls would, writing per-access cycle costs
 // into costs when non-nil (which must then be at least len(vaddrs)).
 func (m *Machine) LoadBatch(core int, as *memory.AddressSpace, vaddrs []uint64, costs []int) {
-	m.batchAccess(core, as, vaddrs, costs, false, false)
+	m.batchAccess(core, as, vaddrs, nil, costs, false, false)
 }
 
 // StoreBatch is the store counterpart of LoadBatch.
 func (m *Machine) StoreBatch(core int, as *memory.AddressSpace, vaddrs []uint64, costs []int) {
-	m.batchAccess(core, as, vaddrs, costs, true, false)
+	m.batchAccess(core, as, vaddrs, nil, costs, true, false)
+}
+
+// AccessBatch performs a mixed data stream: element i is a Store when
+// stores[i] is set and a Load otherwise (stores must be at least
+// len(vaddrs) long), exactly as that sequence of scalar calls would.
+func (m *Machine) AccessBatch(core int, as *memory.AddressSpace, vaddrs []uint64, stores []bool, costs []int) {
+	m.batchAccess(core, as, vaddrs, stores, costs, false, false)
 }
 
 // FetchBatch performs an instruction fetch at every pc in pcs, exactly
 // as the same sequence of Fetch calls would.
 func (m *Machine) FetchBatch(core int, as *memory.AddressSpace, pcs []uint64, costs []int) {
-	m.batchAccess(core, as, pcs, costs, false, true)
+	m.batchAccess(core, as, pcs, nil, costs, false, true)
 }
 
 // Fetch performs an instruction fetch at pc (one line's worth of

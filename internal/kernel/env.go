@@ -90,6 +90,14 @@ func (e *Env) StoreBatch(vaddrs []uint64, costs []int) {
 	e.k.M.StoreBatch(e.core, e.thread().Proc.AS, vaddrs, costs)
 }
 
+// AccessBatch performs a mixed data stream in one call: element i is a
+// Store when stores[i] is set and a Load otherwise, exactly as that
+// sequence of Load and Store calls would. It is the stepping primitive
+// of the Splash-2 analogues, whose blocks interleave the two.
+func (e *Env) AccessBatch(vaddrs []uint64, stores []bool, costs []int) {
+	e.k.M.AccessBatch(e.core, e.thread().Proc.AS, vaddrs, stores, costs)
+}
+
 // ExecBatch fetches every pc as one line of user instructions, exactly
 // as the same sequence of Exec calls would.
 func (e *Env) ExecBatch(pcs []uint64, costs []int) {

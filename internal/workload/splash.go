@@ -80,6 +80,17 @@ func SplashByName(name string) (SplashSpec, bool) {
 	return SplashSpec{}, false
 }
 
+// splashBlock is the number of accesses in one work block.
+const splashBlock = 64
+
+// splashStores marks the stores of a block: every fourth access.
+var splashStores = func() (st [splashBlock]bool) {
+	for i := range st {
+		st[i] = i%4 == 0
+	}
+	return st
+}()
+
 // splashProgram drives one spec's access pattern as a kernel.Program.
 type splashProgram struct {
 	spec      SplashSpec
@@ -88,6 +99,7 @@ type splashProgram struct {
 	lineSize  uint64
 	pos       uint64
 	doneUnits int
+	addrs     [splashBlock]uint64 // the current block's addresses
 	// Cycles records completion: start and end of the measured run.
 	startSet bool
 	start    uint64
@@ -95,8 +107,10 @@ type splashProgram struct {
 	Finished bool
 }
 
-// Step performs one 64-access block.
-func (p *splashProgram) Step(e *kernel.Env) bool {
+// beginBlock stamps the run's start on the first block, fills p.addrs
+// with the next block's addresses and advances the access position past
+// them.
+func (p *splashProgram) beginBlock(e *kernel.Env) {
 	if !p.startSet {
 		p.startSet = true
 		p.start = e.Now()
@@ -108,7 +122,7 @@ func (p *splashProgram) Step(e *kernel.Env) bool {
 			hotLines = p.lines
 		}
 	}
-	for i := 0; i < 64; i++ {
+	for i := range p.addrs {
 		idx := p.pos
 		if p.spec.RandomShift > 0 {
 			idx ^= idx << uint(p.spec.RandomShift)
@@ -118,13 +132,22 @@ func (p *splashProgram) Step(e *kernel.Env) bool {
 			span = uint64(p.lines)
 		}
 		idx %= span
-		if i%4 == 0 {
-			e.Store(p.base + idx*p.lineSize)
-		} else {
-			e.Load(p.base + idx*p.lineSize)
-		}
+		p.addrs[i] = p.base + idx*p.lineSize
 		p.pos += uint64(p.spec.StrideLines)
 	}
+}
+
+// Step performs one block: its accesses in one batch call, then the
+// block's computation.
+func (p *splashProgram) Step(e *kernel.Env) bool {
+	p.beginBlock(e)
+	e.AccessBatch(p.addrs[:], splashStores[:], nil)
+	return p.endBlock(e)
+}
+
+// endBlock spins the block's computation and records its completion,
+// reporting whether the program has more blocks to run.
+func (p *splashProgram) endBlock(e *kernel.Env) bool {
 	e.Spin(p.spec.ComputePerBlock)
 	p.doneUnits++
 	if p.doneUnits >= p.spec.Blocks {
@@ -185,6 +208,26 @@ func RunSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
 }
 
 func runSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
+	sys, prog, err := bootSplash(spec, cfg, nil)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < 1_000_000 && !prog.Finished; i++ {
+		sys.RunCoreFor(0, sys.Timeslice()*16)
+	}
+	if !prog.Finished {
+		return 0, fmt.Errorf("workload: %s did not finish", spec.Name)
+	}
+	return prog.Elapsed(), nil
+}
+
+// bootSplash boots the system cfg describes, maps spec's working set —
+// at least one page, so a sub-page spec still has lines to index — and
+// spawns the benchmark on domain 0, plus the spinning idle domain when
+// cfg is time-shared. wrap, when non-nil, replaces the program the
+// kernel runs (tests substitute a scalar oracle around the same
+// program state).
+func bootSplash(spec SplashSpec, cfg SplashConfig, wrap func(*splashProgram) kernel.Program) (*core.System, *splashProgram, error) {
 	domains := 1
 	if cfg.TimeShared {
 		domains = 2
@@ -199,7 +242,7 @@ func runSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
 		Tracer:          cfg.Tracer,
 	})
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	wsBytes := spec.WorkingSetKiB << 10
 	pages := (wsBytes + memory.PageSize - 1) / memory.PageSize
@@ -208,29 +251,28 @@ func runSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
 	}
 	const base = 0x1000_0000
 	if _, err := sys.MapBuffer(0, base, pages); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
+	lineSize := sys.K.M.Hier.LLC().LineSize()
 	prog := &splashProgram{
 		spec:     spec,
 		base:     base,
-		lines:    pages * memory.PageSize / sys.K.M.Hier.LLC().LineSize(),
-		lineSize: uint64(sys.K.M.Hier.LLC().LineSize()),
+		lines:    pages * memory.PageSize / lineSize,
+		lineSize: uint64(lineSize),
 	}
-	if _, err := sys.Spawn(0, spec.Name, 10, prog); err != nil {
-		return 0, err
+	var run kernel.Program = prog
+	if wrap != nil {
+		run = wrap(prog)
+	}
+	if _, err := sys.Spawn(0, spec.Name, 10, run); err != nil {
+		return nil, nil, err
 	}
 	if cfg.TimeShared {
 		if _, err := sys.Spawn(1, "idle-domain", 10, spinner{}); err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 	}
-	for i := 0; i < 1_000_000 && !prog.Finished; i++ {
-		sys.RunCoreFor(0, sys.Timeslice()*16)
-	}
-	if !prog.Finished {
-		return 0, fmt.Errorf("workload: %s did not finish", spec.Name)
-	}
-	return prog.Elapsed(), nil
+	return sys, prog, nil
 }
 
 // RunSplashThroughput runs the benchmark for a fixed simulated duration
@@ -248,41 +290,9 @@ func RunSplashThroughput(spec SplashSpec, cfg SplashConfig, cycles uint64) (int,
 }
 
 func runSplashThroughput(spec SplashSpec, cfg SplashConfig, cycles uint64) (int, error) {
-	domains := 1
-	if cfg.TimeShared {
-		domains = 2
-	}
-	sys, err := snapshot.NewSystem(core.Options{
-		Platform:        cfg.Platform,
-		Scenario:        cfg.Scenario,
-		Domains:         domains,
-		ColourFraction:  cfg.ColourFraction,
-		PadMicros:       cfg.PadMicros,
-		TimesliceMicros: cfg.TimesliceMicros,
-		Tracer:          cfg.Tracer,
-	})
+	sys, prog, err := bootSplash(spec, cfg, nil)
 	if err != nil {
 		return 0, err
-	}
-	wsBytes := spec.WorkingSetKiB << 10
-	pages := (wsBytes + memory.PageSize - 1) / memory.PageSize
-	const base = 0x1000_0000
-	if _, err := sys.MapBuffer(0, base, pages); err != nil {
-		return 0, err
-	}
-	prog := &splashProgram{
-		spec:     spec,
-		base:     base,
-		lines:    pages * memory.PageSize / sys.K.M.Hier.LLC().LineSize(),
-		lineSize: uint64(sys.K.M.Hier.LLC().LineSize()),
-	}
-	if _, err := sys.Spawn(0, spec.Name, 10, prog); err != nil {
-		return 0, err
-	}
-	if cfg.TimeShared {
-		if _, err := sys.Spawn(1, "idle-domain", 10, spinner{}); err != nil {
-			return 0, err
-		}
 	}
 	sys.RunCoreFor(0, cycles)
 	return prog.doneUnits, nil
