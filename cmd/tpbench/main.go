@@ -60,11 +60,9 @@ func main() {
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "concurrent experiment workers (output is identical for any value)")
 		storeDir   = flag.String("store", "", "durable result store directory; completed artefacts are persisted as they finish")
 		resume     = flag.Bool("resume", false, "skip artefacts already completed in -store (a killed run resumes with byte-identical output)")
-		snapshots  = flag.Bool("snapshots", true, "boot each machine configuration once and fork copy-on-write snapshots (output is byte-identical either way)")
 		snapStats  = flag.Bool("snapshot-stats", false, "report snapshot capture/fork/memo counters to stderr after the run")
 	)
 	flag.Parse()
-	snapshot.SetEnabled(*snapshots)
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "tpbench: -resume requires -store DIR")
 		os.Exit(2)

@@ -10,10 +10,9 @@ import (
 
 // Micro-benchmark for the probe hot loop — the prime+probe pass every
 // channel receiver spends its slices in. One op is one scheduler chunk
-// of back-to-back probe passes over an L1-D-sized buffer; the batch and
-// scalar sub-benchmarks differ only in the SetBatching toggle, so their
-// ratio is the batching win and both must be allocation-free in steady
-// state (the CI bench smoke gates on that). Tracked in BENCH_*.json.
+// of back-to-back probe passes over an L1-D-sized buffer, and it must
+// be allocation-free in steady state (the CI bench smoke gates on
+// that). Tracked in BENCH_*.json.
 
 // benchProber runs one full probe pass per Step.
 type benchProber struct {
@@ -26,10 +25,7 @@ func (p *benchProber) Step(e *kernel.Env) bool {
 	return true
 }
 
-func benchmarkProbeLoop(b *testing.B, batching bool) {
-	prev := Batching()
-	SetBatching(batching)
-	defer SetBatching(prev)
+func benchmarkProbeLoop(b *testing.B) {
 	s := Spec{Platform: hw.Haswell(), Scenario: kernel.ScenarioRaw, Samples: 10, Seed: 42}.withDefaults()
 	sys, err := buildSystem(s)
 	if err != nil {
@@ -54,6 +50,5 @@ func benchmarkProbeLoop(b *testing.B, batching bool) {
 }
 
 func BenchmarkProbeLoop(b *testing.B) {
-	b.Run("batch", func(b *testing.B) { benchmarkProbeLoop(b, true) })
-	b.Run("scalar", func(b *testing.B) { benchmarkProbeLoop(b, false) })
+	b.Run("batch", benchmarkProbeLoop)
 }

@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 
+	"timeprotection/internal/core"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/mi"
@@ -134,13 +135,10 @@ func runFlushChannel(s Spec) (*FlushChannelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := sys.K.M.Plat.Hierarchy
-	pages := h.L1D.Size / memory.PageSize
-	sbuf, err := NewProbeBuffer(sys, 0, senderBufBase, pages)
+	sLines, err := flushSenderLines(sys)
 	if err != nil {
 		return nil, err
 	}
-	sLines := sbuf.AllLines()
 	symbols := 4
 	sender := NewSender(symbols, s.Seed, func(e *kernel.Env, sym int) {
 		// Dirty sym/(symbols-1) of the L1-D: stores, so the switch must
@@ -161,6 +159,16 @@ func runFlushChannel(s Spec) (*FlushChannelResult, error) {
 		sys.RunCoreFor(0, chunk)
 	}
 	return &FlushChannelResult{Online: obs.Online, Offline: obs.Offline}, nil
+}
+
+// flushSenderLines maps the flush-channel sender's L1-D-sized buffer in
+// domain 0 and returns every line of it.
+func flushSenderLines(sys *core.System) ([]uint64, error) {
+	sbuf, err := NewProbeBuffer(sys, 0, senderBufBase, sys.K.M.Plat.Hierarchy.L1D.Size/memory.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	return sbuf.AllLines(), nil
 }
 
 // RunInterruptChannel runs the timer-interrupt channel (§5.3.5): the

@@ -155,39 +155,10 @@ func PrepareIntraCore(s Spec, res Resource) (*Interactive, error) {
 
 	switch res {
 	case L1D, L1I, L2:
-		var size int
-		switch res {
-		case L1D:
-			size = h.L1D.Size
-		case L1I:
-			size = h.L1I.Size
-		case L2:
-			size = h.L2.Size
-		}
-		rsize := size
-		if res == L2 {
-			// The receiver sizes its probing set to the L2 share it can
-			// actually occupy: the full cache when uncoloured, its
-			// partition under colouring (it knows its own memory).
-			if cols := sys.Domains[1].Pool.Colours(); len(cols) > 0 {
-				rsize = size * len(cols) / sys.K.M.Plat.Colours()
-			}
-			// A partition smaller than a page would round the buffer to
-			// zero pages and the receiver would probe nothing; one page is
-			// the smallest set a coloured allocation can occupy.
-			if rsize < memory.PageSize {
-				rsize = memory.PageSize
-			}
-		}
-		sbuf, err := NewProbeBuffer(sys, 0, senderBufBase, size/memory.PageSize)
+		sLines, rLines, err := intraCoreLines(sys, res)
 		if err != nil {
 			return nil, err
 		}
-		rbuf, err := NewProbeBuffer(sys, 1, receiverBufBase, rsize/memory.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		sLines, rLines := sbuf.AllLines(), rbuf.AllLines()
 		// Probing in the reverse of priming order defeats LRU's
 		// worst-case cascade (every prime&probe toolkit does this), and
 		// for the L2 it also touches the freshest surviving prefetcher
@@ -218,23 +189,10 @@ func PrepareIntraCore(s Spec, res Resource) (*Interactive, error) {
 		recv = NewReceiver(sender, s.Samples, measure, prime)
 
 	case TLB:
-		pages := h.DTLB.Entries
-		sbuf, err := NewProbeBuffer(sys, 0, senderBufBase, pages)
+		sLines, rLines, err := intraCoreLines(sys, res)
 		if err != nil {
 			return nil, err
 		}
-		rbuf, err := NewProbeBuffer(sys, 1, receiverBufBase, pages)
-		if err != nil {
-			return nil, err
-		}
-		pageLine := func(b *ProbeBuffer) []uint64 {
-			out := make([]uint64, 0, b.Pages)
-			for p := 0; p < b.Pages; p++ {
-				out = append(out, b.Base+uint64(p)*memory.PageSize)
-			}
-			return out
-		}
-		sLines, rLines := pageLine(sbuf), pageLine(rbuf)
 		sender = NewSender(symbols, s.Seed, func(e *kernel.Env, sym int) {
 			n := len(sLines) * sym / (symbols - 1)
 			Probe(e, sLines[:n])
@@ -312,6 +270,59 @@ func PrepareIntraCore(s Spec, res Resource) (*Interactive, error) {
 		return nil, err
 	}
 	return newInteractive(sys, recv.Dataset(), recv.Done, receiverCap, true, s.Samples), nil
+}
+
+// intraCoreLines maps the sender's (domain 0) and receiver's (domain 1)
+// probe buffers of an L1-D, L1-I, L2 or TLB channel and returns their
+// probe lines: every line of a cache-sized buffer, or the first line of
+// each page of a TLB-reach buffer.
+func intraCoreLines(sys *core.System, res Resource) (sLines, rLines []uint64, err error) {
+	h := sys.K.M.Plat.Hierarchy
+	var size int
+	switch res {
+	case L1D:
+		size = h.L1D.Size
+	case L1I:
+		size = h.L1I.Size
+	case L2:
+		size = h.L2.Size
+	case TLB:
+		size = h.DTLB.Entries * memory.PageSize
+	}
+	rsize := size
+	if res == L2 {
+		// The receiver sizes its probing set to the L2 share it can
+		// actually occupy: the full cache when uncoloured, its
+		// partition under colouring (it knows its own memory).
+		if cols := sys.Domains[1].Pool.Colours(); len(cols) > 0 {
+			rsize = size * len(cols) / sys.K.M.Plat.Colours()
+		}
+		// A partition smaller than a page would round the buffer to
+		// zero pages and the receiver would probe nothing; one page is
+		// the smallest set a coloured allocation can occupy.
+		if rsize < memory.PageSize {
+			rsize = memory.PageSize
+		}
+	}
+	sbuf, err := NewProbeBuffer(sys, 0, senderBufBase, size/memory.PageSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	rbuf, err := NewProbeBuffer(sys, 1, receiverBufBase, rsize/memory.PageSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	if res != TLB {
+		return sbuf.AllLines(), rbuf.AllLines(), nil
+	}
+	pages := func(b *ProbeBuffer) []uint64 {
+		out := make([]uint64, 0, b.Pages)
+		for p := 0; p < b.Pages; p++ {
+			out = append(out, b.Base+uint64(p)*memory.PageSize)
+		}
+		return out
+	}
+	return pages(sbuf), pages(rbuf), nil
 }
 
 // RunKernelChannel runs the Figure 3 covert channel through a shared

@@ -99,15 +99,46 @@ func RunLLCSideChannel(s Spec) (*LLCSideChannelResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	victim, spy, ways, err := newLLCSideChannel(sys, s)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sys.Spawn(0, "victim", 10, victim); err != nil {
+		return nil, err
+	}
+	if _, err := sys.Spawn(1, "spy", 10, spy); err != nil {
+		return nil, err
+	}
+	// Run both cores until the spy has its slots.
+	for i := 0; i < 10000 && len(spy.Trace) < spy.maxSlots; i++ {
+		sys.RunCoresFor([]int{0, 1}, sys.Timeslice()*4)
+	}
+	if len(spy.Trace) == 0 {
+		return nil, fmt.Errorf("llc: spy collected no slots")
+	}
 
+	res := &LLCSideChannelResult{
+		Trace:        spy.Trace,
+		TrueBits:     victim.Bits(),
+		EvictionWays: ways,
+	}
+	res.Recovered, res.ActiveSlots = RecoverBits(spy.Trace, 2)
+	res.Accuracy = bitAccuracy(res.TrueBits, res.Recovered)
+	return res, nil
+}
+
+// newLLCSideChannel maps the Figure 4 victim in domain 0 and builds the
+// domain-1 spy's eviction set for the victim's square page; it returns
+// the victim, the spy and the number of eviction ways found.
+func newLLCSideChannel(sys *core.System, s Spec) (*crypto.Victim, *LLCSpy, int, error) {
 	// Victim code: square and multiply routines on separate pages.
 	const squareVA, mulVA = 0x0800_0000, 0x0900_0000
 	sqFrames, err := sys.MapBuffer(0, squareVA, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	if _, err := sys.MapBuffer(0, mulVA, 1); err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	key := crypto.GenerateShortKey(rng, 24)
@@ -131,29 +162,7 @@ func RunLLCSideChannel(s Spec) (*LLCSideChannelResult, error) {
 		missThreshold = sys.K.M.Plat.Hierarchy.L1D.HitLatency + sys.K.M.Plat.Hierarchy.L2.HitLatency + 10
 	}
 	spy := &LLCSpy{lines: lines, threshold: missThreshold, gap: 6000, maxSlots: s.Samples * 12}
-
-	if _, err := sys.Spawn(0, "victim", 10, victim); err != nil {
-		return nil, err
-	}
-	if _, err := sys.Spawn(1, "spy", 10, spy); err != nil {
-		return nil, err
-	}
-	// Run both cores until the spy has its slots.
-	for i := 0; i < 10000 && len(spy.Trace) < spy.maxSlots; i++ {
-		sys.RunCoresFor([]int{0, 1}, sys.Timeslice()*4)
-	}
-	if len(spy.Trace) == 0 {
-		return nil, fmt.Errorf("llc: spy collected no slots")
-	}
-
-	res := &LLCSideChannelResult{
-		Trace:        spy.Trace,
-		TrueBits:     victim.Bits(),
-		EvictionWays: ways,
-	}
-	res.Recovered, res.ActiveSlots = RecoverBits(spy.Trace, 2)
-	res.Accuracy = bitAccuracy(res.TrueBits, res.Recovered)
-	return res, nil
+	return victim, spy, ways, nil
 }
 
 // RecoverBits turns the spy trace into key bits: activity bursts mark

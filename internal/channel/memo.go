@@ -22,11 +22,9 @@ func (s Spec) memoizable() bool {
 }
 
 // memoKey builds the cache key. With Tracer and ConfigureSystem nil the
-// %+v rendering of the Spec is total and deterministic; the batching
-// mode is included so a toggle mid-process can never serve stale
-// results across modes.
+// %+v rendering of the Spec is total and deterministic.
 func (s Spec) memoKey(kind string) string {
-	return fmt.Sprintf("channel|%s|%t|%+v", kind, Batching(), s)
+	return fmt.Sprintf("channel|%s|%+v", kind, s)
 }
 
 // memoDataset wraps a dataset-producing run in snapshot.Memo.

@@ -8,28 +8,12 @@ package channel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"timeprotection/internal/cache"
 	"timeprotection/internal/core"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 )
-
-// batching selects the probe primitives' stepping mode: batched (one
-// Env.LoadBatch/ExecBatch walk per probe, the default) or scalar (one
-// Env call per line). The two are equivalent by construction — the
-// batch path performs the identical per-access sequence — and the
-// differential tests run every artefact both ways to prove it.
-var batching atomic.Bool
-
-func init() { batching.Store(true) }
-
-// SetBatching toggles batched probe stepping process-wide (tests).
-func SetBatching(on bool) { batching.Store(on) }
-
-// Batching reports whether batched probe stepping is active.
-func Batching() bool { return batching.Load() }
 
 // ProbeBuffer is a user-mapped buffer used for prime&probe: the receiver
 // fills cache sets with its own lines (prime) and later measures how
@@ -120,13 +104,7 @@ func DeStride(lines []uint64, lineSize int) []uint64 {
 // clock), so clock countermeasures (fuzzy time) degrade it faithfully.
 func Probe(e *kernel.Env, lines []uint64) int {
 	t0 := e.Now()
-	if batching.Load() {
-		e.LoadBatch(lines, nil)
-	} else {
-		for _, v := range lines {
-			e.Load(v)
-		}
-	}
+	e.LoadBatch(lines, nil)
 	return int(e.Now() - t0)
 }
 
@@ -134,23 +112,13 @@ func Probe(e *kernel.Env, lines []uint64) int {
 // latency exceeds the threshold (Mastik-style miss counting; Figure 3's
 // y-axis).
 //
-// The batch path reconstructs the scalar loop's per-line clock reads
-// from the batch costs: within one Step nothing but the accesses
-// themselves advance the core's cycle counter, so the t0/t1 pair each
-// iteration would have read — including the fuzzy-clock quantisation
-// the attacker is subject to — is start-plus-prefix-sum, quantised.
+// One batch walk stands in for a loop of clock-bracketed loads: within
+// one Step nothing but the accesses themselves advance the core's cycle
+// counter, so the t0/t1 pair each load would have read — including the
+// fuzzy-clock quantisation the attacker is subject to — is
+// start-plus-prefix-sum, quantised. The per-line loop survives as the
+// test oracle in primitive_diff_test.go.
 func ProbeMisses(e *kernel.Env, lines []uint64, threshold int) int {
-	if !batching.Load() {
-		misses := 0
-		for _, v := range lines {
-			t0 := e.Now()
-			e.Load(v)
-			if int(e.Now()-t0) > threshold {
-				misses++
-			}
-		}
-		return misses
-	}
 	costs := e.CostScratch(len(lines))
 	now := e.PreciseNow()
 	e.LoadBatch(lines, costs)
@@ -176,26 +144,14 @@ func ProbeMisses(e *kernel.Env, lines []uint64, threshold int) int {
 // ProbeExec fetches every line as instructions (L1-I probing).
 func ProbeExec(e *kernel.Env, lines []uint64) int {
 	t0 := e.Now()
-	if batching.Load() {
-		e.ExecBatch(lines, nil)
-	} else {
-		for _, v := range lines {
-			e.Exec(v)
-		}
-	}
+	e.ExecBatch(lines, nil)
 	return int(e.Now() - t0)
 }
 
 // StoreLines dirties every line — the flush channel's sender primitive
 // (the write-back count is the signal).
 func StoreLines(e *kernel.Env, lines []uint64) {
-	if batching.Load() {
-		e.StoreBatch(lines, nil)
-		return
-	}
-	for _, v := range lines {
-		e.Store(v)
-	}
+	e.StoreBatch(lines, nil)
 }
 
 // reversed returns lines in reverse order (the anti-LRU probe

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"timeprotection/internal/hw"
+	"timeprotection/internal/snapshot"
+	"timeprotection/internal/trace"
 	"timeprotection/internal/workload"
 )
 
@@ -205,6 +207,41 @@ func TestTable7Shape(t *testing.T) {
 		if !(r.DestroyMicros < r.CloneMicros && r.CloneMicros < r.ForkExecMicros) {
 			t.Errorf("%s: want destroy < clone < fork+exec, got %.1f / %.1f / %.1f",
 				plat.Name, r.DestroyMicros, r.CloneMicros, r.ForkExecMicros)
+		}
+	}
+}
+
+// TestTable7TracerReachesComparator: the fork+exec comparator is part
+// of Table 7's run, so a tracer must observe it like the clone/destroy
+// measurement. An event-retaining sink boots it cold and skips its
+// memo, and a counters-only sink counts its cache traffic.
+func TestTable7TracerReachesComparator(t *testing.T) {
+	for _, plat := range []hw.Platform{hw.Haswell(), hw.Sabre()} {
+		cfg := fastCfg(plat)
+		if _, err := Table7(cfg); err != nil { // populate memos and snapshots
+			t.Fatal(err)
+		}
+		before := snapshot.Stats()
+		cfg.Tracer = trace.NewSink(1)
+		if _, err := Table7(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := snapshot.Stats(); got.Forks != before.Forks || got.MemoHits != before.MemoHits {
+			t.Errorf("%s: traced Table 7 forked %d kernels and served %d memoized results",
+				plat.Name, got.Forks-before.Forks, got.MemoHits-before.MemoHits)
+		}
+
+		whole, cloneOnly := trace.NewSink(0), trace.NewSink(0)
+		cfg.Tracer = whole
+		if _, err := Table7(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := table7CloneDestroy(plat, cloneOnly); err != nil {
+			t.Fatal(err)
+		}
+		if w, c := whole.UnitSnapshot(trace.UnitDRAM).Accesses, cloneOnly.UnitSnapshot(trace.UnitDRAM).Accesses; w <= c {
+			t.Errorf("%s: Table 7 sink counted %d DRAM accesses, clone/destroy alone %d: the comparator went unobserved",
+				plat.Name, w, c)
 		}
 	}
 }

@@ -213,9 +213,9 @@ func (r Table7Result) Render() string {
 		[]string{"Operation", "us"}, rows)
 }
 
-// Table7 measures clone, destroy and the fork+exec comparator. The
-// clone/destroy measurement is deterministic in the platform; untraced
-// runs are memoized and the kernel is forked either way.
+// Table7 measures clone, destroy and the fork+exec comparator. Both
+// measurements are deterministic in the platform and observed by
+// cfg.Tracer; untraced runs are memoized.
 func Table7(cfg Config) (Table7Result, error) {
 	cfg = cfg.withDefaults()
 	plat := cfg.Platform
@@ -233,7 +233,7 @@ func Table7(cfg Config) (Table7Result, error) {
 		return res, err
 	}
 	res.CloneMicros, res.DestroyMicros = cd[0], cd[1]
-	fe, err := workload.ForkExecCost(plat)
+	fe, err := workload.ForkExecCost(plat, cfg.Tracer)
 	if err != nil {
 		return res, err
 	}

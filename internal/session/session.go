@@ -269,9 +269,9 @@ func newSession(r *Registry, spec Spec) (*Session, error) {
 	s.subs.Store([]*Subscriber{})
 	s.lastTouch.Store(s.createdAt.UnixNano())
 	if sink != nil {
-		// Installed after Prepare so a cold boot (snapshots disabled)
-		// never feeds boot events into the live stream; only stepped
-		// simulation publishes.
+		// Installed after Prepare so a cold boot (the fallback when a
+		// snapshot fails to decode) never feeds boot events into the
+		// live stream; only stepped simulation publishes.
 		protocolOnly := spec.Trace == TraceProtocol
 		sink.OnEvent = func(e trace.Event) {
 			if protocolOnly && e.Unit != trace.UnitChannel && e.Unit != trace.UnitKernel {

@@ -19,12 +19,11 @@ var runs = memo.New[string, any](memoCapacity)
 // first use. Concurrent callers for the same key block on a single
 // in-flight computation (singleflight). Errors — a panic in compute
 // included, which becomes a memo.ErrPanic error — reach every waiter
-// but are not retained: the next caller computes again. When snapshots
-// are disabled, Memo degrades to calling compute directly.
+// but are not retained: the next caller computes again. Callers decide
+// what is memoizable: every caller in this module computes directly
+// when a tracer observes the run, so traced runs re-earn their events
+// and counters.
 func Memo[T any](key string, compute func() (T, error)) (T, error) {
-	if !Enabled() {
-		return compute()
-	}
 	v, hit, err := runs.Do(key, func() (any, error) { return compute() })
 	if hit {
 		counters.memoHits.Add(1)

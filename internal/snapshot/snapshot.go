@@ -23,6 +23,11 @@
 // events faithfully would tie snapshots to ring capacities and clock
 // closures for no experimental gain (event-level runs are inspection
 // tooling, not the measured hot path).
+//
+// Forking cannot be switched off. The cold boots (core.NewSystem,
+// kernel.Boot) stay as the event-sink fallback and as the reference the
+// differential tests hold forks to; a run that must boot cold and skip
+// every memo attaches an event-retaining sink (trace.NewSink(n), n > 0).
 package snapshot
 
 import (
@@ -52,19 +57,6 @@ const (
 	kindSystem = 1 // core.System
 	kindKernel = 2 // bare kernel.Kernel
 )
-
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled toggles snapshot forking process-wide. Disabled, every
-// NewSystem/BootKernel call boots cold — the configuration CI uses to
-// diff snapshot output against ground truth.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether snapshot forking (and run memoization, which
-// shares the switch) is active.
-func Enabled() bool { return enabled.Load() }
 
 // Store is the persistence hook: a durable byte store such as
 // *store.Store. Get misses are recomputed; Put errors are ignored
@@ -245,8 +237,10 @@ type entry struct {
 // not retained, and the next request boots again.
 var registry = memo.New[string, *entry](memoCapacity)
 
-// Reset drops every cached snapshot and memoized run result. Tests use
-// it to exercise cold paths; it does not touch the attached store.
+// Reset drops every cached snapshot and memoized run result, so the
+// next request captures or loads from the attached store again (which
+// Reset does not touch). Benchmarks and tests use it to time and check
+// those paths.
 func Reset() {
 	registry.Reset()
 	runs.Reset()
@@ -282,10 +276,10 @@ func load(kind byte, key string, capture func() (*bootDeltas, []byte, error)) (*
 
 // NewSystem is the drop-in snapshot-aware replacement for
 // core.NewSystem: it forks a cached snapshot of the requested
-// configuration, booting cold only to populate the cache (or when
-// forking is impossible — snapshots disabled, or an event-retaining
-// tracer attached). The returned system is always a fully independent
-// object graph; concurrent callers can run their forks in parallel.
+// configuration, booting cold only to populate the cache (or when an
+// event-retaining tracer makes forking impossible). The returned system
+// is always a fully independent object graph; concurrent callers can
+// run their forks in parallel.
 func NewSystem(opts core.Options) (*core.System, error) {
 	if opts.Tracer.EventsEnabled() {
 		counters.fallbacks.Add(1)
@@ -309,10 +303,6 @@ func ForkForStreaming(opts core.Options) (*core.System, error) {
 }
 
 func forkSystem(opts core.Options) (*core.System, error) {
-	if !Enabled() {
-		counters.fallbacks.Add(1)
-		return core.NewSystem(opts)
-	}
 	e, err := load(kindSystem, SystemKey(opts), func() (*bootDeltas, []byte, error) {
 		bootOpts := opts
 		bootOpts.Tracer = trace.NewSink(0)
@@ -356,7 +346,7 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 		}
 		return k, err
 	}
-	if !Enabled() || sink.EventsEnabled() {
+	if sink.EventsEnabled() {
 		counters.fallbacks.Add(1)
 		return coldBoot()
 	}

@@ -21,11 +21,9 @@ import (
 func reset(t *testing.T) {
 	t.Helper()
 	snapshot.Reset()
-	snapshot.SetEnabled(true)
 	snapshot.AttachStore(nil)
 	t.Cleanup(func() {
 		snapshot.Reset()
-		snapshot.SetEnabled(true)
 		snapshot.AttachStore(nil)
 	})
 }
@@ -250,7 +248,7 @@ func TestCorruptStoreEntryRecaptures(t *testing.T) {
 }
 
 // TestEventTracerFallsBack: an event-retaining sink cannot be served by
-// replay, so the call must cold-boot (and still work).
+// replay, so NewSystem and BootKernel must cold-boot (and still work).
 func TestEventTracerFallsBack(t *testing.T) {
 	reset(t)
 	before := snapshot.Stats()
@@ -269,27 +267,15 @@ func TestEventTracerFallsBack(t *testing.T) {
 	if after.Forks != before.Forks {
 		t.Fatal("event tracer produced a fork")
 	}
-}
-
-// TestDisabled: the kill switch must bypass forking and memoization.
-func TestDisabled(t *testing.T) {
-	reset(t)
-	snapshot.SetEnabled(false)
-	before := snapshot.Stats()
-	if _, err := snapshot.NewSystem(core.Options{Platform: hw.Haswell()}); err != nil {
+	k, err := snapshot.BootKernel(hw.Haswell(), kernel.Config{Scenario: kernel.ScenarioRaw}, sink)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshot.Stats(); got.Forks != before.Forks || got.Captures != before.Captures {
-		t.Fatal("disabled layer still captured or forked")
+	if k.Tracer != sink {
+		t.Fatal("BootKernel did not attach the event tracer")
 	}
-	calls := 0
-	for i := 0; i < 2; i++ {
-		if _, err := snapshot.Memo("k", func() (int, error) { calls++; return calls, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("disabled Memo cached (calls=%d)", calls)
+	if got := snapshot.Stats(); got.Fallbacks != after.Fallbacks+1 || got.Forks != after.Forks || got.Captures != after.Captures {
+		t.Fatalf("BootKernel with an event tracer did not boot cold: %+v -> %+v", after, got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/snapshot"
+	"timeprotection/internal/trace"
 )
 
 // ForkExecCost simulates the Table 7 comparator: creating a process on a
@@ -21,15 +22,20 @@ import (
 //   - reading and relocating the executable image and its libraries.
 //
 // All traffic runs through the simulated cache hierarchy, so the result
-// is a measured quantity in the same units as the clone cost.
-func ForkExecCost(plat hw.Platform) (uint64, error) {
-	return snapshot.Memo(fmt.Sprintf("forkexec|%+v", plat), func() (uint64, error) {
-		return forkExecCost(plat)
-	})
+// is a measured quantity in the same units as the clone cost. tr, when
+// non-nil, observes the run. Untraced measurements are memoized
+// process-wide (deterministic in plat).
+func ForkExecCost(plat hw.Platform, tr *trace.Sink) (uint64, error) {
+	if tr == nil {
+		return snapshot.Memo(fmt.Sprintf("forkexec|%+v", plat), func() (uint64, error) {
+			return forkExecCost(plat, nil)
+		})
+	}
+	return forkExecCost(plat, tr)
 }
 
-func forkExecCost(plat hw.Platform) (uint64, error) {
-	k, err := snapshot.BootKernel(plat, kernel.Config{Scenario: kernel.ScenarioRaw}, nil)
+func forkExecCost(plat hw.Platform, tr *trace.Sink) (uint64, error) {
+	k, err := snapshot.BootKernel(plat, kernel.Config{Scenario: kernel.ScenarioRaw}, tr)
 	if err != nil {
 		return 0, err
 	}

@@ -135,11 +135,11 @@ func TestIPCArmColourReadyPenalty(t *testing.T) {
 }
 
 func TestForkExecCost(t *testing.T) {
-	x86, err := ForkExecCost(hw.Haswell())
+	x86, err := ForkExecCost(hw.Haswell(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm, err := ForkExecCost(hw.Sabre())
+	arm, err := ForkExecCost(hw.Sabre(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
