@@ -1,9 +1,9 @@
 // Command tpinspect builds a time-protected system, runs it briefly with
 // a workload in each domain, and prints the partition map the mechanisms
 // establish: colour assignments, kernel image placement, the shared-data
-// audit (§4.1), per-domain LLC occupancy, and the tail of the kernel
-// event trace. It is the "show me the partitioning actually happened"
-// tool.
+// audit (§4.1), per-domain LLC occupancy, and the last kernel events of
+// the machine-wide trace. It is the "show me the partitioning actually
+// happened" tool.
 //
 // With -trace it additionally records the machine-wide event stream
 // (cache hits/misses/evictions, TLB and predictor outcomes, page walks,
@@ -40,6 +40,10 @@ import (
 // dozen time slices while bounding memory.
 const traceRingCap = 1 << 20
 
+// traceTail is how many of the last kernel events the synthetic
+// workload prints.
+const traceTail = 12
+
 func main() {
 	var (
 		platform  = flag.String("platform", "haswell", "haswell or sabre")
@@ -58,12 +62,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	// A sink is needed when either output was requested; events (the
-	// expensive part) only when -trace asks for the stream itself.
+	// -trace retains the whole event stream. The synthetic workload's
+	// kernel trace tail needs events emitted but keeps its own copies,
+	// so a one-event ring suffices; -metrics alone needs only counters.
 	var sink *trace.Sink
-	if *traceFile != "" {
+	switch {
+	case *traceFile != "":
 		sink = trace.NewSink(traceRingCap)
-	} else if *metrics {
+	case *workload == "synthetic":
+		sink = trace.NewSink(1)
+	case *metrics:
 		sink = trace.NewSink(0)
 	}
 
@@ -140,14 +148,26 @@ func runFigure3(plat hw.Platform, sc kernel.Scenario, samples int, sink *trace.S
 }
 
 // runSynthetic is the classic inspection flow: one small load per
-// domain, then print the partition map the mechanisms establish.
+// domain, then print the partition map the mechanisms establish. The
+// sink must retain events.
 func runSynthetic(plat hw.Platform, sc kernel.Scenario, domains, slices int, sink *trace.Sink) {
+	var tail []trace.Event
+	kernelEvents := 0
+	sink.OnEvent = func(e trace.Event) {
+		if e.Unit != trace.UnitKernel {
+			return
+		}
+		kernelEvents++
+		if len(tail) == traceTail {
+			tail = append(tail[:0], tail[1:]...)
+		}
+		tail = append(tail, e)
+	}
 	sys, err := core.NewSystem(core.Options{
-		Platform:  plat,
-		Scenario:  sc,
-		Domains:   domains,
-		TraceSize: 64,
-		Tracer:    sink,
+		Platform: plat,
+		Scenario: sc,
+		Domains:  domains,
+		Tracer:   sink,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -224,12 +244,8 @@ func runSynthetic(plat hw.Platform, sc kernel.Scenario, domains, slices int, sin
 	fmt.Printf("  ticks %d, domain switches %d, kernel switches %d, syscalls %d, IRQs %d\n",
 		m.Ticks, m.DomainSwitches, m.KernelSwitches, m.Syscalls, m.IRQsHandled)
 
-	fmt.Printf("\nTrace tail (%d of %d events):\n", len(sys.K.Trace.Snapshot()), sys.K.Trace.Total())
-	snap := sys.K.Trace.Snapshot()
-	if len(snap) > 12 {
-		snap = snap[len(snap)-12:]
-	}
-	for _, e := range snap {
+	fmt.Printf("\nKernel trace tail (%d of %d kernel events):\n", len(tail), kernelEvents)
+	for _, e := range tail {
 		fmt.Printf("  %v\n", e)
 	}
 }

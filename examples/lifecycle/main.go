@@ -21,9 +21,17 @@ func main() {
 		timeprot.WithPlatform(plat),
 		timeprot.WithProtection(),
 		timeprot.WithKernelCloning(),
-		timeprot.WithTrace(256))
+		timeprot.WithTrace(64))
 	if err != nil {
 		log.Fatal(err)
+	}
+	// Keep the lifecycle events as they are emitted: every cache access
+	// is traced too, and would overwrite them in the per-core rings.
+	var lifecycle []timeprot.Event
+	k.Tracer.OnEvent = func(e timeprot.Event) {
+		if e.Kind == timeprot.EvClone || e.Kind == timeprot.EvDestroy {
+			lifecycle = append(lifecycle, e)
+		}
 	}
 	nCol := plat.Colours()
 	fmt.Printf("booted %s: %d page colours, boot image #%d\n\n", plat.Name, nCol, k.BootImage().ID)
@@ -88,9 +96,7 @@ func main() {
 	k.RunCore(0, k.M.Cores[0].Now+4*k.Timeslice())
 	fmt.Printf("\nafter revocation the machine still runs: %d ticks handled\n", k.Metrics.Ticks)
 	fmt.Println("\nkernel trace (lifecycle events):")
-	for _, e := range k.Trace.Snapshot() {
-		if e.Kind == timeprot.EvClone || e.Kind == timeprot.EvDestroy {
-			fmt.Printf("  %v\n", e)
-		}
+	for _, e := range lifecycle {
+		fmt.Printf("  [%12d c%d] %-14v a=%d b=%d\n", e.Time, e.Core, e.Kind, e.Addr, e.Arg)
 	}
 }

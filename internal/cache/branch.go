@@ -14,12 +14,6 @@ type btbEntry struct {
 	valid  bool
 }
 
-// BTBStats accumulates prediction statistics.
-type BTBStats struct {
-	Hits       uint64
-	Mispredict uint64
-}
-
 // BTB models a branch target buffer indexed and tagged by (virtual)
 // branch PC. A lookup that misses, or hits with the wrong target,
 // charges the mispredict penalty; either way the executed target is
@@ -31,7 +25,6 @@ type BTB struct {
 	setMask uint64
 	entries []btbEntry
 	tick    uint64
-	Stats   BTBStats
 }
 
 // NewBTB builds a BTB, panicking on non-power-of-two geometry.
@@ -62,11 +55,9 @@ func (b *BTB) Branch(pc, target uint64) int {
 		if e.valid && e.tag == pc {
 			e.stamp = b.tick
 			if e.target == target {
-				b.Stats.Hits++
 				return 0
 			}
 			e.target = target
-			b.Stats.Mispredict++
 			return b.cfg.MispredictPenalty
 		}
 		if !e.valid {
@@ -78,7 +69,6 @@ func (b *BTB) Branch(pc, target uint64) int {
 		}
 	}
 	b.entries[victim] = btbEntry{tag: pc, target: target, stamp: b.tick, valid: true}
-	b.Stats.Mispredict++
 	return b.cfg.MispredictPenalty
 }
 
@@ -107,12 +97,6 @@ type BHBConfig struct {
 	MispredictPenalty int
 }
 
-// BHBStats accumulates prediction statistics.
-type BHBStats struct {
-	Correct    uint64
-	Mispredict uint64
-}
-
 // BHB models a gshare-style predictor: a global history shift register
 // XOR-indexed with the branch PC into a table of 2-bit saturating
 // counters. The residual-history covert channel of Evtyushkin et al.
@@ -129,7 +113,6 @@ type BHB struct {
 	// which matters because the full-flush scenario resets the predictor
 	// on every domain switch.
 	reset []uint8
-	Stats BHBStats
 }
 
 // NewBHB builds the predictor; counters start weakly not-taken.
@@ -164,10 +147,8 @@ func (b *BHB) CondBranch(pc uint64, taken bool) int {
 	}
 	b.history = ((b.history << 1) | boolBit(taken)) & b.histMsk
 	if predicted == taken {
-		b.Stats.Correct++
 		return 0
 	}
-	b.Stats.Mispredict++
 	return b.cfg.MispredictPenalty
 }
 

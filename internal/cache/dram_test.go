@@ -18,11 +18,9 @@ func TestDRAMRowBufferHitMiss(t *testing.T) {
 	a, b := uint64(0x40000), uint64(0x40040)
 	c1 := h.Data(0, a, a, false)
 	c2 := h.Data(0, b, b, false)
-	if d.RowMisses == 0 {
-		t.Fatal("no row activation recorded")
-	}
-	if c2 >= c1 {
-		t.Fatalf("same-row access (%d) should be faster than the opening one (%d)", c2, c1)
+	if c1-c2 != d.cfg.RowMissExtra {
+		t.Fatalf("opening access (%d) should cost the row activation (%d) more than the same-row one (%d)",
+			c1, d.cfg.RowMissExtra, c2)
 	}
 }
 
@@ -40,14 +38,11 @@ func TestDRAMBankConflictCost(t *testing.T) {
 		}
 	}
 	h.Data(0, base, base, false)
-	cost := h.Data(0, other, other, false)
-	// Re-touch the first row at a new line: its row was closed.
-	misses := d.RowMisses
-	h.Data(0, base+64, base+64, false)
-	if d.RowMisses != misses+1 {
-		t.Fatalf("alternating rows in one bank must keep missing (misses=%d)", d.RowMisses)
+	h.Data(0, other, other, false)
+	// Re-touch the first row: the conflicting access closed it.
+	if extra, rowHit := d.access(base + 64); rowHit || extra != d.cfg.RowMissExtra {
+		t.Fatalf("alternating rows in one bank must keep missing (extra=%d, row hit=%v)", extra, rowHit)
 	}
-	_ = cost
 }
 
 func TestDRAMStateSurvivesFlushes(t *testing.T) {

@@ -56,8 +56,6 @@ type DRAMState struct {
 	cfg  DRAMConfig
 	rows []uint64
 	open []bool
-	// RowHits / RowMisses count accesses (tests).
-	RowHits, RowMisses uint64
 }
 
 // Bank hashes physical address bits into a bank index. Real DDR bank
@@ -68,18 +66,17 @@ func (d *DRAMState) Bank(paddr uint64) int {
 	return int((r ^ (r >> 4)) % uint64(d.cfg.Banks))
 }
 
-// access returns the extra latency of the row-buffer outcome.
-func (d *DRAMState) access(paddr uint64) int {
+// access opens paddr's row and returns the extra latency and whether
+// the row was already open.
+func (d *DRAMState) access(paddr uint64) (extra int, rowHit bool) {
 	bank := d.Bank(paddr)
 	row := paddr / uint64(d.cfg.RowBytes)
 	if d.open[bank] && d.rows[bank] == row {
-		d.RowHits++
-		return 0
+		return 0, true
 	}
-	d.RowMisses++
 	d.rows[bank] = row
 	d.open[bank] = true
-	return d.cfg.RowMissExtra
+	return d.cfg.RowMissExtra, false
 }
 
 // Hierarchy owns all microarchitectural state of a machine: per-core L1s,
@@ -398,12 +395,12 @@ func (h *Hierarchy) afterL1(core int, l1 *Cache, l1u trace.Unit, hit bool, ev Ev
 	}
 	mem := h.cfg.MemLatency + h.jitter()
 	if h.dram != nil {
-		rowHits := h.dram.RowHits
-		mem += h.dram.access(paddr)
+		extra, rowHit := h.dram.access(paddr)
+		mem += extra
 		if h.sink != nil {
 			d := h.sink.Unit(trace.UnitDRAM)
 			d.Accesses++
-			if h.dram.RowHits > rowHits {
+			if rowHit {
 				d.Hits++
 				if h.sinkEvents {
 					h.sink.Emit(core, trace.DRAMRowHit, trace.UnitDRAM, paddr, 0)
@@ -438,12 +435,12 @@ func (h *Hierarchy) afterL1(core int, l1 *Cache, l1u trace.Unit, hit bool, ev Ev
 
 // AccessFast performs one user memory access whose translation hits
 // the first-level TLB, in a single pass over the TLB set and the L1
-// set. It commits exactly the state transitions, statistics and trace
-// output of the TLBLevel-then-Data/Fetch path for that case (TLB
-// tick/stamp and hit count, the TLBHit event ahead of every cache
-// event, then the L1 access). An L1 hit commits in place; an L1 miss
-// fills from the set already scanned and continues down the hierarchy,
-// so a miss-heavy stream never scans a set twice.
+// set. It commits exactly the state transitions and trace output of the
+// TLBLevel-then-Data/Fetch path for that case (TLB tick and stamp, the
+// TLBHit event ahead of every cache event, then the L1 access). An L1
+// hit commits in place; an L1 miss fills from the set already scanned
+// and continues down the hierarchy, so a miss-heavy stream never scans
+// a set twice.
 //
 // hint, when not negative, is the entry index an earlier call returned
 // for the same core, vpn and asid with no TLB operation in between: the
@@ -493,7 +490,6 @@ func (h *Hierarchy) AccessFast(core, hint int, vpn uint64, asid uint16, vaddr, p
 		if write {
 			m.dirty |= 1 << uint(way)
 		}
-		l1.Stats.Hits++
 		if h.sink != nil {
 			st := h.sink.Unit(l1u)
 			st.Accesses++
@@ -505,7 +501,6 @@ func (h *Hierarchy) AccessFast(core, hint int, vpn uint64, asid uint16, vaddr, p
 		}
 		return l1.cfg.HitLatency, ent
 	}
-	l1.Stats.Misses++
 	ev := l1.fill(set, tag, write, l1.normalMask())
 	return h.afterL1(core, l1, l1u, false, ev, paddr, ifetch), ent
 }

@@ -42,8 +42,6 @@ type Prefetcher struct {
 	pageLines uint64   // lines per 4 KiB page (a power of two)
 	mru       int      // stream index of the last hit: a streaming access
 	out       []uint64 // reusable OnAccess result buffer
-	// Issued counts prefetch lines launched (tests, ablation benches).
-	Issued uint64
 }
 
 // NewPrefetcher builds an enabled prefetcher. It panics above 64
@@ -206,7 +204,6 @@ func (p *Prefetcher) OnAccess(paddr uint64) []uint64 {
 		emit(int64(p.cfg.Degree))
 	}
 	p.out = out
-	p.Issued += uint64(len(out))
 	// Next-page prefetch: a confirmed ascending stream nearing its page
 	// boundary pre-arms the following page's entry, so a long sequential
 	// sweep pays one training miss per page instead of Trigger (the

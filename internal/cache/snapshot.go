@@ -23,10 +23,6 @@ import (
 // EncodeState appends the cache's mutable state to w.
 func (c *Cache) EncodeState(w *enc.Writer) {
 	w.U64(c.pinMask)
-	w.U64(c.Stats.Hits)
-	w.U64(c.Stats.Misses)
-	w.U64(c.Stats.Writebacks)
-	w.U64(c.Stats.Flushes)
 	ways := c.cfg.Ways
 	for set := range c.meta {
 		m := &c.meta[set]
@@ -46,10 +42,6 @@ func (c *Cache) EncodeState(w *enc.Writer) {
 // without one.
 func (c *Cache) DecodeState(r *enc.Reader) error {
 	c.pinMask = r.U64()
-	c.Stats.Hits = r.U64()
-	c.Stats.Misses = r.U64()
-	c.Stats.Writebacks = r.U64()
-	c.Stats.Flushes = r.U64()
 	ways := c.cfg.Ways
 	c.nvalid = 0
 	for set := range c.meta {
@@ -72,8 +64,6 @@ func (c *Cache) DecodeState(r *enc.Reader) error {
 // EncodeState appends the TLB's mutable state to w.
 func (t *TLB) EncodeState(w *enc.Writer) {
 	w.U64(t.tick)
-	w.U64(t.Stats.Hits)
-	w.U64(t.Stats.Misses)
 	for i := range t.entries {
 		e := &t.entries[i]
 		w.Bool(e.valid)
@@ -89,8 +79,6 @@ func (t *TLB) EncodeState(w *enc.Writer) {
 // DecodeState restores TLB state into a TLB of the same geometry.
 func (t *TLB) DecodeState(r *enc.Reader) error {
 	t.tick = r.U64()
-	t.Stats.Hits = r.U64()
-	t.Stats.Misses = r.U64()
 	for i := range t.entries {
 		e := &t.entries[i]
 		if r.Bool() {
@@ -109,8 +97,6 @@ func (t *TLB) DecodeState(r *enc.Reader) error {
 // EncodeState appends the BTB's mutable state to w.
 func (b *BTB) EncodeState(w *enc.Writer) {
 	w.U64(b.tick)
-	w.U64(b.Stats.Hits)
-	w.U64(b.Stats.Mispredict)
 	for i := range b.entries {
 		e := &b.entries[i]
 		w.Bool(e.valid)
@@ -125,8 +111,6 @@ func (b *BTB) EncodeState(w *enc.Writer) {
 // DecodeState restores BTB state into a BTB of the same geometry.
 func (b *BTB) DecodeState(r *enc.Reader) error {
 	b.tick = r.U64()
-	b.Stats.Hits = r.U64()
-	b.Stats.Mispredict = r.U64()
 	for i := range b.entries {
 		e := &b.entries[i]
 		if r.Bool() {
@@ -144,16 +128,12 @@ func (b *BTB) DecodeState(r *enc.Reader) error {
 // EncodeState appends the history predictor's mutable state to w.
 func (b *BHB) EncodeState(w *enc.Writer) {
 	w.U64(b.history)
-	w.U64(b.Stats.Correct)
-	w.U64(b.Stats.Mispredict)
 	w.Raw(b.table)
 }
 
 // DecodeState restores predictor state into a BHB of the same geometry.
 func (b *BHB) DecodeState(r *enc.Reader) error {
 	b.history = r.U64()
-	b.Stats.Correct = r.U64()
-	b.Stats.Mispredict = r.U64()
 	tbl := r.Raw()
 	if err := r.Err(); err != nil {
 		return err
@@ -173,7 +153,6 @@ func (p *Prefetcher) EncodeState(w *enc.Writer) {
 	w.U64(p.confirmed)
 	w.U64(p.tick)
 	w.Int(p.mru)
-	w.U64(p.Issued)
 	w.U64s(p.pages)
 	w.U64s(p.lastLine)
 	w.U64s(p.stamps)
@@ -192,7 +171,6 @@ func (p *Prefetcher) DecodeState(r *enc.Reader) error {
 	p.confirmed = r.U64()
 	p.tick = r.U64()
 	p.mru = r.Int()
-	p.Issued = r.U64()
 	pages := r.U64s()
 	lastLine := r.U64s()
 	stamps := r.U64s()
@@ -268,8 +246,6 @@ func (h *Hierarchy) EncodeState(w *enc.Writer) {
 	}
 	if h.dram != nil {
 		w.U64s(h.dram.rows)
-		w.U64(h.dram.RowHits)
-		w.U64(h.dram.RowMisses)
 		for _, o := range h.dram.open {
 			w.Bool(o)
 		}
@@ -333,8 +309,6 @@ func (h *Hierarchy) DecodeState(r *enc.Reader) error {
 	}
 	if h.dram != nil {
 		rows := r.U64s()
-		h.dram.RowHits = r.U64()
-		h.dram.RowMisses = r.U64()
 		if err := r.Err(); err != nil {
 			return err
 		}

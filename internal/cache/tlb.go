@@ -18,12 +18,6 @@ type tlbEntry struct {
 	global bool // survives per-address-space flushes (kernel global mappings)
 }
 
-// TLBStats accumulates TLB access statistics.
-type TLBStats struct {
-	Hits   uint64
-	Misses uint64
-}
-
 // TLB models a set-associative translation cache. Entries are tagged
 // with an address-space identifier unless marked global. The global bit
 // is what distinguishes the paper's "original" kernel (kernel mappings
@@ -36,7 +30,6 @@ type TLB struct {
 	setMask uint64
 	entries []tlbEntry
 	tick    uint64
-	Stats   TLBStats
 }
 
 // NewTLB builds a TLB from cfg, panicking on non-power-of-two geometry.
@@ -74,12 +67,10 @@ func (t *TLB) find(vpn uint64, asid uint16) int {
 	return -1
 }
 
-// hit commits a lookup that matched entry i: the LRU tick and stamp and
-// the hit count.
+// hit commits a lookup that matched entry i: the LRU tick and stamp.
 func (t *TLB) hit(i int) {
 	t.tick++
 	t.entries[i].stamp = t.tick
-	t.Stats.Hits++
 }
 
 // Lookup reports whether (vpn, asid) is present, updating LRU state.
@@ -90,7 +81,6 @@ func (t *TLB) Lookup(vpn uint64, asid uint16) bool {
 		return true
 	}
 	t.tick++
-	t.Stats.Misses++
 	return false
 }
 

@@ -107,13 +107,14 @@ func TestTLBNonGlobalKernelMappingsIncreasePressure(t *testing.T) {
 	}
 }
 
-func TestTLBStats(t *testing.T) {
+func TestTLBLookupReportsHit(t *testing.T) {
 	tlb := testTLB()
-	tlb.Lookup(1, 1)
+	if tlb.Lookup(1, 1) {
+		t.Fatal("cold lookup hit")
+	}
 	tlb.Insert(1, 1, false)
-	tlb.Lookup(1, 1)
-	if tlb.Stats.Hits != 1 || tlb.Stats.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit 1 miss", tlb.Stats)
+	if !tlb.Lookup(1, 1) {
+		t.Fatal("lookup after insert missed")
 	}
 }
 

@@ -48,12 +48,9 @@ type Options struct {
 	// footnote-4 countermeasure; 0 = precise clock).
 	FuzzyClockGrainCycles uint64
 
-	// TraceSize enables the kernel event trace ring (0 = disabled).
-	TraceSize int
-
 	// Tracer attaches a machine-wide observability sink at boot (nil =
-	// tracing disabled). Unlike TraceSize's kernel-only ring, it records
-	// events and counters from every simulator component.
+	// tracing disabled). It records events and counters from every
+	// simulator component.
 	Tracer *trace.Sink
 
 	// SharedColours reserves this many colours for cross-domain shared
@@ -118,7 +115,6 @@ func NewSystem(opts Options) (*System, error) {
 		CloneSupport:    opts.Scenario == kernel.ScenarioProtected,
 		StrictDomains:   opts.StrictDomains,
 		FuzzyClockGrain: opts.FuzzyClockGrainCycles,
-		TraceSize:       opts.TraceSize,
 	}
 	k, err := kernel.Boot(plat, cfg)
 	if err != nil {

@@ -39,10 +39,6 @@ type MemoryBus struct {
 	// each access in the current one (lagging enforcement).
 	mbaLimit   int
 	mbaPenalty int
-
-	// Stats
-	Accesses uint64
-	Stalls   uint64
 }
 
 // NewMemoryBus builds a bus with the given arbitration parameters.
@@ -70,7 +66,6 @@ func (b *MemoryBus) Access(core int, now uint64) int {
 		return 0
 	}
 	w := now / b.WindowCycles
-	b.Accesses++
 	b.usage[w]++
 	cu := b.coreUsage[w]
 	if cu == nil {
@@ -81,7 +76,6 @@ func (b *MemoryBus) Access(core int, now uint64) int {
 	extra := 0
 	if over := b.usage[w] - b.SlotsPerWindow; over > 0 {
 		extra += b.StallCycles * over
-		b.Stalls++
 	}
 	if b.mbaLimit > 0 {
 		// Enforcement is approximate: it reacts to the *previous*

@@ -21,9 +21,6 @@ func TestBusContentionStalls(t *testing.T) {
 	if extra := b.Access(1, 400); extra != 160 {
 		t.Fatalf("second excess access stalled %d, want 160", extra)
 	}
-	if b.Stalls != 2 {
-		t.Fatalf("Stalls = %d, want 2", b.Stalls)
-	}
 }
 
 func TestBusWindowsIndependent(t *testing.T) {
@@ -86,19 +83,16 @@ func TestAttachBusChargesCore(t *testing.T) {
 	m.AttachBus(bus)
 	// Two cold DRAM accesses in the same window: the second stalls.
 	c1 := m.PhysLoad(0, 0x10000)
-	m.Cores[1].Now = m.Cores[0].Now / 2 // land in an overlapping window? use same-time access
-	m.Cores[1].Now = 0
 	c2 := m.PhysLoad(1, 0x20000)
-	if c2 <= c1-100 {
-		t.Logf("c1=%d c2=%d", c1, c2)
+	if c2 < c1+400 { // 500 stall cycles, less the memory jitter
+		t.Fatalf("second access cost %d, first %d: stall not charged", c2, c1)
 	}
-	if bus.Accesses < 2 {
-		t.Fatalf("bus saw %d accesses, want >= 2", bus.Accesses)
+	if got := bus.WindowUsage(0); got != 2 {
+		t.Fatalf("bus saw %d accesses in window 0, want 2", got)
 	}
 	m.AttachBus(nil)
-	before := bus.Accesses
 	m.PhysLoad(2, 0x30000)
-	if bus.Accesses != before {
-		t.Fatal("detached bus still observed accesses")
+	if got := bus.WindowUsage(0); got != 2 {
+		t.Fatalf("detached bus still observed accesses (%d)", got)
 	}
 }

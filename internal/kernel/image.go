@@ -267,7 +267,6 @@ func (k *Kernel) Clone(core int, src *Image, mem *KernelMemory) (*Image, error) 
 	img.parent = src
 	src.children = append(src.children, img)
 	k.Images = append(k.Images, img)
-	k.trace(EvClone, core, src.ID, img.ID)
 	k.emit(core, trace.KernelClone, uint64(src.ID), uint64(img.ID))
 	return img, nil
 }
@@ -310,7 +309,6 @@ func (k *Kernel) DestroyImage(core int, img *Image) error {
 		return ErrRevoked
 	}
 	img.zombie = true
-	k.trace(EvDestroy, core, img.ID, 0)
 	k.emit(core, trace.KernelDestroy, uint64(img.ID), 0)
 
 	// system_stall: IPI every core the zombie runs on; they reschedule

@@ -68,10 +68,6 @@ type Config struct {
 	// extremely constrained scenarios (it breaks every legitimate use of
 	// fine-grained time too). Zero means a precise clock.
 	FuzzyClockGrain uint64
-	// TraceSize enables the kernel event trace with a ring of this many
-	// entries (0 = disabled; tracing is harness instrumentation and
-	// consumes no simulated time).
-	TraceSize int
 }
 
 // Metrics counts kernel events and records switch latencies.
@@ -124,13 +120,10 @@ type Kernel struct {
 	// once (see slotDomain).
 	latchedSchedule []int
 
-	// Trace is the kernel event ring (see Config.TraceSize).
-	Trace *Trace
-
-	// Tracer is the machine-wide observability sink (nil = disabled).
-	// Unlike the kernel-only Trace ring above, it spans the whole
-	// simulator; attach it with AttachTracer so the hierarchy and clock
-	// are wired up too.
+	// Tracer is the machine-wide observability sink (nil = disabled);
+	// attach it with AttachTracer so the hierarchy and clock are wired
+	// up too. Recording consumes no simulated time and is never part of
+	// the encoded state.
 	Tracer *trace.Sink
 
 	Metrics Metrics
@@ -202,7 +195,7 @@ func Boot(plat hw.Platform, cfg Config) (*Kernel, error) {
 		return nil, fmt.Errorf("kernel: the protected scenario requires CloneSupport")
 	}
 	m := hw.NewMachine(plat)
-	k := &Kernel{M: m, Cfg: cfg, nextASID: 1, irqBind: make(map[int]*irqBinding), Trace: newTrace(cfg.TraceSize)}
+	k := &Kernel{M: m, Cfg: cfg, nextASID: 1, irqBind: make(map[int]*irqBinding)}
 	shared, err := newSharedRegion(m)
 	if err != nil {
 		return nil, err

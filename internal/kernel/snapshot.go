@@ -8,7 +8,7 @@ package kernel
 // layer captures (immediately after kernel.Boot / core.NewSystem), and
 // the restriction keeps user Programs — arbitrary host closures — out of
 // the encoding entirely. Everything else, including clone genealogy,
-// per-image idle threads, kernel trace ring and metrics, round-trips.
+// per-image idle threads and metrics, round-trips.
 
 import (
 	"fmt"
@@ -26,7 +26,6 @@ func encodeKernelConfig(w *enc.Writer, cfg Config) {
 	w.Bool(cfg.StrictDomains)
 	w.Ints(cfg.ScheduleDomains)
 	w.U64(cfg.FuzzyClockGrain)
-	w.Int(cfg.TraceSize)
 }
 
 func decodeKernelConfig(r *enc.Reader) Config {
@@ -37,7 +36,6 @@ func decodeKernelConfig(r *enc.Reader) Config {
 		StrictDomains:   r.Bool(),
 		ScheduleDomains: r.Ints(),
 		FuzzyClockGrain: r.U64(),
-		TraceSize:       r.Int(),
 	}
 }
 
@@ -107,51 +105,6 @@ func (k *Kernel) decodeImage(r *enc.Reader) (img *Image, parentID int, childIDs 
 	return img, parentID, childIDs, r.Err()
 }
 
-func (t *Trace) encodeState(w *enc.Writer) {
-	w.Int(len(t.buf))
-	w.Int(t.next)
-	w.Bool(t.wrapped)
-	w.U64(t.total)
-	n := t.next
-	if t.wrapped {
-		n = len(t.buf)
-	}
-	w.Int(n)
-	for i := 0; i < n; i++ {
-		e := &t.buf[i]
-		w.Int(int(e.Kind))
-		w.U64(e.Time)
-		w.Int(int(e.Core))
-		w.Int(e.A)
-		w.Int(e.B)
-	}
-}
-
-func decodeTrace(r *enc.Reader) (*Trace, error) {
-	capacity := r.Int()
-	t := newTrace(capacity)
-	t.next = r.Int()
-	t.wrapped = r.Bool()
-	t.total = r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n > len(t.buf) {
-		return nil, fmt.Errorf("kernel: trace ring overflow (%d entries, capacity %d)", n, capacity)
-	}
-	for i := 0; i < n; i++ {
-		t.buf[i] = Event{
-			Kind: EventKind(r.Int()),
-			Time: r.U64(),
-			Core: uint8(r.Int()),
-			A:    r.Int(),
-			B:    r.Int(),
-		}
-	}
-	return t, r.Err()
-}
-
 // EncodeState appends the kernel's full state — machine included — to w.
 // It fails if the kernel is past the quiescent post-boot point (user
 // threads exist, something is dispatched, or an IRQ notification is
@@ -192,7 +145,6 @@ func (k *Kernel) EncodeState(w *enc.Writer) error {
 	} {
 		w.U64(v)
 	}
-	k.Trace.encodeState(w)
 	w.Int(len(k.Images))
 	for _, img := range k.Images {
 		img.encodeState(w)
@@ -251,10 +203,6 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 	} {
 		*p = r.U64()
 	}
-	var err error
-	if k.Trace, err = decodeTrace(r); err != nil {
-		return nil, err
-	}
 	nImages := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -282,6 +230,7 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 		}
 		return img, nil
 	}
+	var err error
 	for i, img := range k.Images {
 		if parents[i] >= 0 {
 			if img.parent, err = resolve(parents[i]); err != nil {

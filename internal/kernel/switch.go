@@ -125,7 +125,6 @@ func (k *Kernel) dispatch(core int, t *TCB) {
 	cs := k.cores[core]
 	if t.Image != cs.curImage {
 		k.Metrics.KernelSwitches++
-		k.trace(EvKernelSwitch, core, cs.curImage.ID, t.Image.ID)
 		k.emit(core, trace.KernelSwitch, uint64(cs.curImage.ID), uint64(t.Image.ID))
 		if k.Cfg.Scenario == ScenarioProtected {
 			k.maskInterrupts(core)
@@ -163,7 +162,6 @@ func (k *Kernel) tick(core int) {
 	// (the paper's worst-case-handling-time provision, §4.3).
 	cs.tickStart = cs.nextTick
 	k.Metrics.Ticks++
-	k.trace(EvTick, core, cs.curDomain, 0)
 	k.emit(core, trace.KernelTick, uint64(cs.curDomain), 0)
 
 	// Step 1: acquire the kernel lock.
@@ -184,7 +182,6 @@ func (k *Kernel) tick(core int) {
 
 	if domainSwitch {
 		k.Metrics.DomainSwitches++
-		k.trace(EvDomainSwitch, core, cs.curDomain, next.Domain)
 		k.emit(core, trace.DomainSwitchBegin, uint64(cs.curDomain), uint64(next.Domain))
 		switchStart := k.M.Cores[core].Now
 
@@ -198,13 +195,11 @@ func (k *Kernel) tick(core int) {
 		// Step 8: flush on-core microarchitectural state.
 		switch k.Cfg.Scenario {
 		case ScenarioProtected:
-			k.trace(EvFlush, core, 0, 0)
 			k.emit(core, trace.FlushBegin, 0, 0)
 			flushStart := k.M.Cores[core].Now
 			k.FlushOnCore(core, cs.curImage)
 			k.emit(core, trace.FlushEnd, k.M.Cores[core].Now-flushStart, 0)
 		case ScenarioFullFlush:
-			k.trace(EvFlush, core, 1, 0)
 			k.emit(core, trace.FlushBegin, 1, 0)
 			flushStart := k.M.Cores[core].Now
 			k.FullFlush(core)
@@ -226,7 +221,6 @@ func (k *Kernel) tick(core int) {
 			deadline := cs.tickStart + img.PadCycles
 			if k.M.Cores[core].Now < deadline {
 				pad := deadline - k.M.Cores[core].Now
-				k.trace(EvPad, core, int(pad), 0)
 				if k.Tracer != nil {
 					k.Tracer.PadCount++
 					k.Tracer.PadCycles += pad
@@ -420,7 +414,6 @@ func (k *Kernel) prefetchShared(core int) {
 func (k *Kernel) handleIRQ(core int, line int) {
 	cs := k.cores[core]
 	k.Metrics.IRQsHandled++
-	k.trace(EvIRQ, core, line, 0)
 	k.emit(core, trace.KernelIRQ, uint64(line), 0)
 	k.M.IRQ.Acknowledge(line)
 	k.kSpin(core, trapEntryCost)

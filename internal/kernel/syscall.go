@@ -51,7 +51,6 @@ func SyscallTextRanges() [][2]uint64 {
 func (k *Kernel) syscallEnter(core int, t *TCB, slot int, textOff, textLen uint64) {
 	cs := k.cores[core]
 	k.Metrics.Syscalls++
-	k.trace(EvSyscall, core, int(textOff), 0)
 	k.emit(core, trace.KernelSyscall, textOff, 0)
 	k.kSpin(core, trapEntryCost)
 	k.execText(core, cs.curImage, sysTextEntry, sysTextEntryLen)

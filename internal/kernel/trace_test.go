@@ -1,32 +1,32 @@
 package kernel
 
 import (
-	"strings"
 	"testing"
 
 	"timeprotection/internal/hw"
 	"timeprotection/internal/memory"
+	"timeprotection/internal/trace"
 )
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	k := bootKernel(t, hw.Haswell(), ScenarioRaw)
-	if k.Trace.Enabled() {
-		t.Fatal("trace should be disabled without TraceSize")
+	if k.Tracer != nil {
+		t.Fatal("a booted kernel should have no tracer attached")
 	}
-	k.trace(EvTick, 0, 0, 0) // must not panic
-	if k.Trace.Total() != 0 || k.Trace.Snapshot() != nil {
-		t.Fatal("disabled trace recorded events")
-	}
+	k.emit(0, trace.KernelTick, 0, 0) // must not panic
+	k.stampDomain(0)
 }
 
 func TestTraceRecordsKernelEvents(t *testing.T) {
 	k, err := Boot(hw.Haswell(), Config{
 		Scenario: ScenarioProtected, CloneSupport: true,
-		TimesliceCycles: testSlice, TraceSize: 4096,
+		TimesliceCycles: testSlice,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sink := trace.NewSink(1 << 17)
+	k.AttachTracer(sink)
 	split := memory.SplitColours(hw.Haswell().Colours(), 2)
 	var procs [2]*Process
 	for i := range procs {
@@ -54,42 +54,29 @@ func TestTraceRecordsKernelEvents(t *testing.T) {
 	mustThread(t, k, procs[1], "b", 10, 1, &counter{base: 0x400000})
 	runFor(k, 0, 6*testSlice)
 
-	if k.Trace.Count(EvClone) != 2 {
-		t.Errorf("clone events = %d, want 2", k.Trace.Count(EvClone))
+	// Every event must still be retained, or the counts below would
+	// undercount kinds that the ring overwrote.
+	if total, kept := sink.Total(), len(sink.Events()); total != uint64(kept) {
+		t.Fatalf("sink emitted %d events but retains %d: enlarge the ring", total, kept)
 	}
-	for _, kind := range []EventKind{EvTick, EvDomainSwitch, EvKernelSwitch, EvFlush, EvSyscall} {
-		if k.Trace.Count(kind) == 0 {
+	if got := sink.Count(trace.KernelClone, trace.UnitKernel); got != 2 {
+		t.Errorf("clone events = %d, want 2", got)
+	}
+	for _, kind := range []trace.Kind{
+		trace.KernelTick, trace.DomainSwitchBegin, trace.KernelSwitch,
+		trace.FlushBegin, trace.KernelSyscall,
+	} {
+		if sink.Count(kind, trace.UnitKernel) == 0 {
 			t.Errorf("no %v events recorded", kind)
 		}
 	}
-	// Events are time-ordered within a core's stream.
-	var last uint64
-	for _, e := range k.Trace.Snapshot() {
-		if e.Core == 0 {
+	for core := range k.M.Cores {
+		var last uint64
+		for _, e := range sink.CoreEvents(core) {
 			if e.Time < last {
-				t.Fatalf("trace not time-ordered: %v after %d", e, last)
+				t.Fatalf("core %d trace not time-ordered: %v after %d", core, e, last)
 			}
 			last = e.Time
 		}
-	}
-	if !strings.Contains(k.Trace.Snapshot()[0].String(), "c0") {
-		t.Error("event String() missing core")
-	}
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	tr := newTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(Event{Kind: EvTick, Time: uint64(i)})
-	}
-	snap := tr.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot length = %d, want 4", len(snap))
-	}
-	if snap[0].Time != 6 || snap[3].Time != 9 {
-		t.Fatalf("ring retained wrong window: %v", snap)
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
 	}
 }

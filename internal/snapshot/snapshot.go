@@ -48,7 +48,7 @@ import (
 // schemaVersion is bumped whenever any layer's EncodeState format
 // changes; persisted snapshots with a different version decode as
 // misses and are re-captured.
-const schemaVersion = 1
+const schemaVersion = 2
 
 var magic = [6]byte{'T', 'P', 'S', 'N', 'A', 'P'}
 

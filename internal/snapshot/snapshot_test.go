@@ -247,6 +247,59 @@ func TestCorruptStoreEntryRecaptures(t *testing.T) {
 	}
 }
 
+// TestSchemaMismatchRecaptures: a persisted snapshot that carries
+// another schema version is recaptured, never decoded, even when it sits
+// under the current store key and its payload would otherwise parse.
+func TestSchemaMismatchRecaptures(t *testing.T) {
+	reset(t)
+	st := &memStore{}
+	snapshot.AttachStore(st)
+	opts := core.Options{Platform: hw.Haswell(), Scenario: kernel.ScenarioRaw}
+	if _, err := snapshot.NewSystem(opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.m) != 1 {
+		t.Fatalf("store holds %d entries, want 1", len(st.m))
+	}
+	var key string
+	var good []byte
+	for k, b := range st.m {
+		key, good = k, b
+	}
+	// The header is six magic bytes, then the schema version, each a
+	// one-byte varint.
+	if !bytes.HasPrefix(good, []byte("TPSNAP")) || good[6] == 0 || good[6] >= 0x80 {
+		t.Fatalf("unexpected snapshot header % x", good[:7])
+	}
+	stale := append([]byte(nil), good...)
+	stale[6]--
+
+	// Control: the blob as written is served from the store.
+	snapshot.Reset()
+	before := snapshot.Stats()
+	if _, err := snapshot.NewSystem(opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot.Stats(); got.DiskHits != before.DiskHits+1 || got.Captures != before.Captures {
+		t.Fatalf("current-schema blob not loaded from the store: %+v -> %+v", before, got)
+	}
+
+	if err := st.Put(key, stale); err != nil {
+		t.Fatal(err)
+	}
+	snapshot.Reset()
+	before = snapshot.Stats()
+	if _, err := snapshot.NewSystem(opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot.Stats(); got.Captures != before.Captures+1 || got.DiskHits != before.DiskHits {
+		t.Fatalf("stale-schema blob was not recaptured: %+v -> %+v", before, got)
+	}
+	if b, _ := st.Get(key); !bytes.Equal(b, good) {
+		t.Fatal("recapture did not rewrite the entry at the current schema")
+	}
+}
+
 // TestEventTracerFallsBack: an event-retaining sink cannot be served by
 // replay, so NewSystem and BootKernel must cold-boot (and still work).
 func TestEventTracerFallsBack(t *testing.T) {

@@ -10,8 +10,9 @@
 // The layer is zero-overhead when disabled: every emitting component
 // holds a *Sink that is nil by default, and each emission site is a
 // single predictable `if sink != nil` branch. Recording consumes no
-// simulated time — it is harness instrumentation, not machine work
-// (the same convention as the kernel's own event ring).
+// simulated time and is never part of a machine's encoded state — it is
+// harness instrumentation, not machine work. It is the simulator's only
+// recorder: no simulated structure keeps counters or events of its own.
 //
 // Event replay is the basis of trace-driven testing: properties like
 // "after a domain switch with a full flush, no domain ever hits a line

@@ -5,6 +5,7 @@ import (
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/snapshot"
+	"timeprotection/internal/trace"
 )
 
 // System is a fully assembled machine, kernel and security-domain
@@ -43,13 +44,18 @@ type Pool = memory.Pool
 // FrameAllocator hands out physical frames by colour (Kernel.M.Alloc).
 type FrameAllocator = memory.FrameAllocator
 
-// EventKind classifies kernel trace events (Kernel.Trace).
-type EventKind = kernel.EventKind
+// Event is one record of the machine-wide trace that WithTrace attaches
+// (Kernel.Tracer). Kernel lifecycle events carry the source image ID in
+// Addr and the new image ID in Arg.
+type Event = trace.Event
+
+// EventKind classifies trace events.
+type EventKind = trace.Kind
 
 // Kernel lifecycle trace kinds, re-exported for trace inspection.
 const (
-	EvClone   = kernel.EvClone
-	EvDestroy = kernel.EvDestroy
+	EvClone   = trace.KernelClone
+	EvDestroy = trace.KernelDestroy
 )
 
 // NewSystem boots a platform and partitions it into security domains
@@ -68,7 +74,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		Domains:         s.domains,
 		TimesliceMicros: s.timesliceMicros,
 		PadMicros:       s.padMicros,
-		TraceSize:       s.traceSize,
+		Tracer:          s.tracer(),
 	})
 }
 
@@ -85,8 +91,7 @@ func Boot(opts ...Option) (*Kernel, error) {
 		Scenario:        s.scenario,
 		TimesliceCycles: timeslice,
 		CloneSupport:    s.cloneSupport,
-		TraceSize:       s.traceSize,
-	}, nil)
+	}, s.tracer())
 }
 
 // SplitColours partitions n page colours into k contiguous shares.

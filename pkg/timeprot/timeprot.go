@@ -33,6 +33,7 @@ import (
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/mi"
+	"timeprotection/internal/trace"
 )
 
 // Platform describes one simulated evaluation machine.
@@ -92,6 +93,14 @@ func newSettings(opts []Option) settings {
 	return s
 }
 
+// tracer returns the event sink WithTrace asked for, or nil.
+func (s *settings) tracer() *trace.Sink {
+	if s.traceSize <= 0 {
+		return nil
+	}
+	return trace.NewSink(s.traceSize)
+}
+
 // Option is a functional configuration knob shared by NewSystem, Boot
 // and the Measure* functions.
 type Option func(*settings)
@@ -123,7 +132,11 @@ func WithDomains(n int) Option { return func(s *settings) { s.domains = n } }
 // mappings) so Boot's kernel can Clone per-domain images.
 func WithKernelCloning() Option { return func(s *settings) { s.cloneSupport = true } }
 
-// WithTrace enables the kernel event trace ring with n entries.
+// WithTrace attaches a machine-wide trace sink (Kernel.Tracer) whose
+// per-core rings keep the last n events each; its OnEvent hook sees
+// every event as it is emitted. A traced system or kernel boots cold
+// instead of forking a cached snapshot, since boot-time events cannot
+// be replayed.
 func WithTrace(n int) Option { return func(s *settings) { s.traceSize = n } }
 
 // WithTimeslice sets the preemption period in simulated microseconds.
