@@ -61,6 +61,23 @@ func BenchmarkPrefetcherStream(b *testing.B) {
 	}
 }
 
+// BenchmarkPrefetcherScattered measures OnAccess when every access
+// opens a new page on a full 64-stream table (the Haswell geometry):
+// the page index misses, the age list names the victim, and both are
+// updated for the displaced and the new stream. Must stay
+// allocation-free.
+func BenchmarkPrefetcherScattered(b *testing.B) {
+	p := NewPrefetcher(PrefetcherConfig{Streams: 64, Degree: 8, Trigger: 4, LineSize: 64})
+	for pg := uint64(0); pg < 64; pg++ {
+		p.OnAccess(pg << 12)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.OnAccess(uint64(64+i) << 12)
+	}
+}
+
 // BenchmarkHierarchyAccessFast measures the batch stepping fast path
 // for a resident line: the first-level TLB hit and the L1 hit committed
 // in one pass, as the hw batch walk takes them. Must stay

@@ -124,6 +124,7 @@ type Cache struct {
 	lineMask uint64    // LineSize-1: offset bits cleared to form the tag
 	fullMask uint64    // way mask with every way admitted
 	availAll uint16    // fullMask truncated to the 16 possible ways
+	lruWays  uint64    // the LRU stack's nibbles that hold ways
 	tags     []uint64  // sets*ways, row-major by set; invalidTag = empty
 	meta     []setMeta // one per set
 	pinMask  uint64    // Arm lockdown: ways excluded from normal fills
@@ -164,6 +165,7 @@ func New(cfg Config) *Cache {
 		meta:     make([]setMeta, sets),
 	}
 	c.availAll = uint16(c.fullMask)
+	c.lruWays = uint64(1)<<(4*uint(cfg.Ways)) - 1
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
@@ -292,11 +294,26 @@ func (c *Cache) fill(set int, tag uint64, mark bool, wayMask uint64) (ev Evictio
 	nways := c.cfg.Ways
 	m := &c.meta[set]
 	avail := uint16(wayMask) & c.availAll
+	if avail == c.availAll && m.valid == c.availAll {
+		// The common full-set fill: the victim is the bottom of the
+		// stack, and moving it to the top rotates the way nibbles up by
+		// one place.
+		victim := int(m.lru>>(uint(nways-1)*4)) & 0xF
+		bit := uint16(1) << uint(victim)
+		i := set*nways + victim
+		ev = Eviction{Tag: c.tags[i], Valid: true, Dirty: m.dirty&bit != 0}
+		c.tags[i] = tag
+		if mark {
+			m.dirty |= bit
+		} else {
+			m.dirty &^= bit
+		}
+		m.lru = m.lru&^c.lruWays | m.lru<<4&c.lruWays | uint64(victim)
+		return ev
+	}
 	victim := -1
 	if inv := avail &^ m.valid; inv != 0 {
 		victim = bits.TrailingZeros16(inv)
-	} else if avail == c.availAll {
-		victim = int(m.lru>>(uint(nways-1)*4)) & 0xF
 	} else if avail != 0 {
 		lru := m.lru
 		for p := nways - 1; p >= 0; p-- {

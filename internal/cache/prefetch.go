@@ -24,9 +24,12 @@ type PrefetcherConfig struct {
 // scenario), closable only by disabling the unit via MSR 0x1A4.
 //
 // The stream table is held as parallel flat arrays plus valid/confirmed
-// bitmasks (hence the 64-stream ceiling): the page-match scan on a
-// table miss reads one array of page numbers instead of a table of
-// structs, and the snapshot layer freezes the arrays wholesale.
+// bitmasks (hence the 64-stream ceiling), which the snapshot layer
+// freezes wholesale. Two derived structures sit beside it, rebuilt by
+// DecodeState and never encoded: an open-addressed page index over the
+// valid streams (their pages are unique), which answers OnAccess's and
+// preArm's page lookups without a scan, and an age list of the valid
+// streams in (stamp, index) order, whose head is the LRU victim.
 type Prefetcher struct {
 	cfg       PrefetcherConfig
 	enabled   bool
@@ -42,6 +45,27 @@ type Prefetcher struct {
 	pageLines uint64   // lines per 4 KiB page (a power of two)
 	mru       int      // stream index of the last hit: a streaming access
 	out       []uint64 // reusable OnAccess result buffer
+
+	// slot is the page index: linear probing from pageHash, each slot
+	// holding a valid stream's index plus one (zero = empty).
+	slot [indexSlots]uint8
+	// older and newer link the valid streams from oldest (the LRU
+	// victim) to newest in ascending (stamp, index) order; -1 ends the
+	// list.
+	older, newer   [64]int8
+	oldest, newest int8
+}
+
+// indexSlots is the page index size: a power of two at least twice the
+// 64-stream ceiling, so a probe sequence stays short.
+const (
+	indexBits  = 7
+	indexSlots = 1 << indexBits
+)
+
+// pageHash is the page index's home slot for page (Fibonacci hashing).
+func pageHash(page uint64) int {
+	return int((page * 0x9E3779B97F4A7C15) >> (64 - indexBits))
 }
 
 // NewPrefetcher builds an enabled prefetcher. It panics above 64
@@ -58,6 +82,8 @@ func NewPrefetcher(cfg PrefetcherConfig) *Prefetcher {
 		stamps:   make([]uint64, cfg.Streams),
 		count:    make([]int32, cfg.Streams),
 		dir:      make([]int8, cfg.Streams),
+		oldest:   -1,
+		newest:   -1,
 	}
 	for cfg.LineSize>>p.lineBits > 1 {
 		p.lineBits++
@@ -78,7 +104,8 @@ func (p *Prefetcher) Disable() { p.enabled = false }
 func (p *Prefetcher) Enable() { p.enabled = true }
 
 // victimStream picks the entry a new stream displaces: the
-// highest-indexed invalid entry if any, else the least recently used.
+// highest-indexed invalid entry if any, else the least recently used,
+// the lowest-indexed on a stamp tie — the head of the age list.
 // (Highest invalid, not lowest: the previous struct-table scan let every
 // later invalid entry overwrite the candidate, and the choice is
 // observable through which streams survive, so it is preserved.)
@@ -86,30 +113,129 @@ func (p *Prefetcher) victimStream() int {
 	if inv := ^p.valid & (uint64(1)<<uint(len(p.pages)) - 1); inv != 0 {
 		return 63 - bits.LeadingZeros64(inv)
 	}
-	victim := 0
-	victimStamp := ^uint64(0)
-	for i, s := range p.stamps {
-		if s < victimStamp {
-			victim, victimStamp = i, s
-		}
-	}
-	return victim
+	return int(p.oldest)
 }
 
 // setStream overwrites entry i with a fresh stream.
 func (p *Prefetcher) setStream(i int, page, lastLine uint64, dir int8, count int32, confirmed bool) {
+	bit := uint64(1) << uint(i)
+	if p.valid&bit != 0 {
+		p.unindex(i)
+		p.unlink(i)
+	}
 	p.pages[i] = page
 	p.lastLine[i] = lastLine
 	p.stamps[i] = p.tick
 	p.count[i] = count
 	p.dir[i] = dir
-	bit := uint64(1) << uint(i)
 	p.valid |= bit
 	if confirmed {
 		p.confirmed |= bit
 	} else {
 		p.confirmed &^= bit
 	}
+	p.index(i)
+	p.link(i)
+}
+
+// find returns the valid stream tracking page, or -1.
+func (p *Prefetcher) find(page uint64) int {
+	for h := pageHash(page); ; h = (h + 1) & (indexSlots - 1) {
+		s := int(p.slot[h]) - 1
+		if s < 0 || p.pages[s] == page {
+			return s
+		}
+	}
+}
+
+// index adds valid stream i to the page index.
+func (p *Prefetcher) index(i int) {
+	h := pageHash(p.pages[i])
+	for p.slot[h] != 0 {
+		h = (h + 1) & (indexSlots - 1)
+	}
+	p.slot[h] = uint8(i + 1)
+}
+
+// unindex removes stream i from the page index, shifting later members
+// of its probe run back so that no lookup stops short of its entry.
+func (p *Prefetcher) unindex(i int) {
+	h := pageHash(p.pages[i])
+	for int(p.slot[h]) != i+1 {
+		h = (h + 1) & (indexSlots - 1)
+	}
+	for j := h; ; {
+		p.slot[h] = 0
+		for {
+			j = (j + 1) & (indexSlots - 1)
+			s := p.slot[j]
+			if s == 0 {
+				return
+			}
+			// The entry at j may fill the hole at h unless its home
+			// lies cyclically within (h, j].
+			if home := pageHash(p.pages[s-1]); (j-home)&(indexSlots-1) >= (j-h)&(indexSlots-1) {
+				p.slot[h] = s
+				h = j
+				break
+			}
+		}
+	}
+}
+
+// link inserts valid stream i into the age list at its (stamp, index)
+// place. Stamps come from the advancing tick, so the walk from the
+// newest end stops at once or, on the tick a hit and its preArm share,
+// after one step.
+func (p *Prefetcher) link(i int) {
+	at := p.newest
+	for at >= 0 && (p.stamps[at] > p.stamps[i] || p.stamps[at] == p.stamps[i] && int(at) > i) {
+		at = p.older[at]
+	}
+	p.older[i] = at
+	if at >= 0 {
+		p.newer[i] = p.newer[at]
+		p.newer[at] = int8(i)
+	} else {
+		p.newer[i] = p.oldest
+		p.oldest = int8(i)
+	}
+	if n := p.newer[i]; n >= 0 {
+		p.older[n] = int8(i)
+	} else {
+		p.newest = int8(i)
+	}
+}
+
+// unlink removes stream i from the age list.
+func (p *Prefetcher) unlink(i int) {
+	o, n := p.older[i], p.newer[i]
+	if o >= 0 {
+		p.newer[o] = n
+	} else {
+		p.oldest = n
+	}
+	if n >= 0 {
+		p.older[n] = o
+	} else {
+		p.newest = o
+	}
+}
+
+// rebuild re-derives the page index and the age list from the stream
+// table, failing if two valid streams track one page.
+func (p *Prefetcher) rebuild() error {
+	p.slot = [indexSlots]uint8{}
+	p.oldest, p.newest = -1, -1
+	for v := p.valid; v != 0; v &= v - 1 {
+		i := bits.TrailingZeros64(v)
+		if j := p.find(p.pages[i]); j >= 0 {
+			return fmt.Errorf("cache: prefetcher streams %d and %d both track page %#x", j, i, p.pages[i])
+		}
+		p.index(i)
+		p.link(i)
+	}
+	return nil
 }
 
 // OnAccess observes a demand access that missed the L1 (the level the
@@ -121,29 +247,26 @@ func (p *Prefetcher) OnAccess(paddr uint64) []uint64 {
 	p.tick++
 	lineAddr := paddr >> p.lineBits
 	page := paddr >> 12
-	s := -1
+	var s int
 	// Streaming workloads hit the same entry on consecutive misses, so
-	// check the most recently hit stream before scanning the table.
+	// check the most recently hit stream before the page index.
 	if p.valid&(1<<uint(p.mru)) != 0 && p.pages[p.mru] == page {
 		s = p.mru
+	} else if s = p.find(page); s >= 0 {
+		p.mru = s
 	} else {
-		for v := p.valid; v != 0; v &= v - 1 {
-			i := bits.TrailingZeros64(v)
-			if p.pages[i] == page {
-				s = i
-				p.mru = i
-				break
-			}
-		}
-	}
-	if s < 0 {
-		// Miss: only now pay for the victim scan.
 		victim := p.victimStream()
 		p.setStream(victim, page, lineAddr, 0, 1, false)
 		p.mru = victim
 		return nil
 	}
 	p.stamps[s] = p.tick
+	// No stamp exceeds the tick (DecodeState enforces it), so the
+	// newest stream stays newest.
+	if int(p.newest) != s {
+		p.unlink(s)
+		p.link(s)
+	}
 	var dir int8
 	switch {
 	case lineAddr == p.lastLine[s]+1:
@@ -217,10 +340,8 @@ func (p *Prefetcher) OnAccess(paddr uint64) []uint64 {
 // preArm installs a confirmed, nearly-triggered stream entry for page
 // (unless one already exists), anticipating a sequential crossing.
 func (p *Prefetcher) preArm(page, lastLine uint64) {
-	for v := p.valid; v != 0; v &= v - 1 {
-		if p.pages[bits.TrailingZeros64(v)] == page {
-			return
-		}
+	if p.find(page) >= 0 {
+		return
 	}
 	p.setStream(p.victimStream(), page, lastLine, 1, int32(p.cfg.Trigger)-1, true)
 }
@@ -250,4 +371,6 @@ func (p *Prefetcher) ResetHidden() {
 	}
 	p.valid = 0
 	p.confirmed = 0
+	p.slot = [indexSlots]uint8{}
+	p.oldest, p.newest = -1, -1
 }

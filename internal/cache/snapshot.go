@@ -39,16 +39,28 @@ func (c *Cache) EncodeState(w *enc.Writer) {
 // DecodeState restores state encoded by EncodeState into a cache of the
 // same geometry. The running valid-line count is derived from the
 // decoded valid masks, never encoded, so the bytes are those of a cache
-// without one.
+// without one. A set whose masks name ways the cache lacks, whose dirty
+// lines are not all valid, or whose LRU stack is not a permutation of
+// its ways is rejected: the masks index the tag array, and the stack
+// names the victim.
 func (c *Cache) DecodeState(r *enc.Reader) error {
 	c.pinMask = r.U64()
 	ways := c.cfg.Ways
+	stack := lruInit(ways)
 	c.nvalid = 0
 	for set := range c.meta {
 		m := &c.meta[set]
-		m.lru = r.U64()
-		m.valid = uint16(r.U64())
-		m.dirty = uint16(r.U64())
+		lru, valid, dirty := r.U64(), r.U64(), r.U64()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if (valid|dirty)&^c.fullMask != 0 || dirty&^valid != 0 {
+			return fmt.Errorf("cache %s: set %d valid/dirty masks %#x/%#x outside %d ways", c.cfg.Name, set, valid, dirty, ways)
+		}
+		if lru != stack && !lruPermutes(lru, ways) {
+			return fmt.Errorf("cache %s: set %d LRU stack %#x is not a permutation of %d ways", c.cfg.Name, set, lru, ways)
+		}
+		m.lru, m.valid, m.dirty = lru, uint16(valid), uint16(dirty)
 		base := set * ways
 		for i := 0; i < ways; i++ {
 			c.tags[base+i] = invalidTag
@@ -59,6 +71,25 @@ func (c *Cache) DecodeState(r *enc.Reader) error {
 		c.nvalid += bits.OnesCount16(m.valid)
 	}
 	return r.Err()
+}
+
+// lruPermutes reports whether lru holds each of the ways way indices
+// once in its low nibbles, with the 0xF fillers of lruInit above them.
+func lruPermutes(lru uint64, ways int) bool {
+	if ways < 16 {
+		if high := ^uint64(0) << (4 * uint(ways)); lru&high != high {
+			return false
+		}
+	}
+	var seen uint16
+	for p := 0; p < ways; p++ {
+		w := lru >> (4 * uint(p)) & 0xF
+		if int(w) >= ways || seen&(1<<w) != 0 {
+			return false
+		}
+		seen |= 1 << w
+	}
+	return true
 }
 
 // EncodeState appends the TLB's mutable state to w.
@@ -164,7 +195,11 @@ func (p *Prefetcher) EncodeState(w *enc.Writer) {
 	}
 }
 
-// DecodeState restores prefetcher state into one of the same geometry.
+// DecodeState restores prefetcher state into one of the same geometry,
+// then rebuilds the page index and the age list, which are derived from
+// the stream table and never encoded. It rejects a table those cannot
+// be built from: valid or confirmed bits beyond the stream count, two
+// valid streams on one page, or a valid stream stamped after the clock.
 func (p *Prefetcher) DecodeState(r *enc.Reader) error {
 	p.enabled = r.Bool()
 	p.valid = r.U64()
@@ -183,6 +218,9 @@ func (p *Prefetcher) DecodeState(r *enc.Reader) error {
 		(stamps != nil && len(stamps) != len(p.stamps)) {
 		return fmt.Errorf("cache: prefetcher stream count mismatch")
 	}
+	if all := uint64(1)<<uint(len(p.pages)) - 1; (p.valid|p.confirmed)&^all != 0 {
+		return fmt.Errorf("cache: prefetcher stream mask %#x/%#x exceeds %d streams", p.valid, p.confirmed, len(p.pages))
+	}
 	copyOrZero(p.pages, pages)
 	copyOrZero(p.lastLine, lastLine)
 	copyOrZero(p.stamps, stamps)
@@ -192,7 +230,15 @@ func (p *Prefetcher) DecodeState(r *enc.Reader) error {
 	for i := range p.dir {
 		p.dir[i] = int8(r.I64())
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	for v := p.valid; v != 0; v &= v - 1 {
+		if i := bits.TrailingZeros64(v); p.stamps[i] > p.tick {
+			return fmt.Errorf("cache: prefetcher stream %d stamped %d after the clock %d", i, p.stamps[i], p.tick)
+		}
+	}
+	return p.rebuild()
 }
 
 func copyOrZero(dst, src []uint64) {

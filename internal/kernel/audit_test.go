@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"timeprotection/internal/hw"
+	"timeprotection/internal/memory"
 )
 
 func TestColourAuditCleanPartition(t *testing.T) {
@@ -58,5 +60,40 @@ func TestColourAuditSkipsUnrestricted(t *testing.T) {
 	}
 	if v := k.AuditColourIsolation(procs[:]); len(v) != 0 {
 		t.Fatalf("raw (unrestricted) processes must not be audited: %v", v)
+	}
+}
+
+// TestColourAuditIsDeterministic smuggles several foreign frames into
+// one address space, across two page tables, and requires two audits
+// to list the violations identically: the address space reports its
+// frames by table, then by VPN, never in map order.
+func TestColourAuditIsDeterministic(t *testing.T) {
+	k, procs := twoDomains(t, hw.Haswell(), ScenarioProtected)
+	var want []memory.PFN
+	for _, va := range []uint64{0x600000, 0x601000, 0x800000, 0x602000, 0xA00000} {
+		f, err := procs[1].Pool.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := procs[0].AS.Map(va, f, false); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f)
+	}
+	first := k.AuditColourIsolation(procs[:])
+	second := k.AuditColourIsolation(procs[:])
+	if !slices.Equal(first, second) {
+		t.Fatalf("audits differ:\n%v\n%v", first, second)
+	}
+	var got []memory.PFN
+	for _, v := range first {
+		if v.What == "address-space" {
+			got = append(got, v.Frame)
+		}
+	}
+	// By VPN: 0x600000, 0x601000, 0x602000, 0x800000, 0xA00000.
+	want = []memory.PFN{want[0], want[1], want[3], want[2], want[4]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("address-space violations %v, want %v in VPN order", got, want)
 	}
 }

@@ -1,17 +1,45 @@
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// pte is one page-table entry.
-type pte struct {
-	frame  PFN
-	global bool
+// pte is one page-table entry: the mapped frame above a present and a
+// global bit. The zero entry is an unmapped page.
+type pte uint64
+
+const (
+	ptePresent pte = 1 << iota
+	pteGlobal
+	pteFlagBits = iota
+)
+
+// maxFrame bounds the frames a pte can hold.
+const maxFrame = PFN(1)<<(64-pteFlagBits) - 1
+
+func (e pte) frame() PFN   { return PFN(e >> pteFlagBits) }
+func (e pte) global() bool { return e&pteGlobal != 0 }
+
+func makePTE(frame PFN, global bool) pte {
+	e := pte(frame)<<pteFlagBits | ptePresent
+	if global {
+		e |= pteGlobal
+	}
+	return e
 }
 
 // l2TableSpan is the number of pages covered by one second-level page
 // table (512 entries of 8 bytes in a 4 KiB frame, as on x86-64's last
 // level).
 const l2TableSpan = 512
+
+// pageTable is one second-level table: the frame it occupies and its
+// entries, indexed by the low nine bits of the VPN.
+type pageTable struct {
+	frame PFN
+	ptes  [l2TableSpan]pte
+}
 
 // AddressSpace is a two-level page table plus an ASID. Page-table frames
 // are allocated from the owning pool, so in a coloured system the
@@ -22,11 +50,17 @@ type AddressSpace struct {
 	asid   uint16
 	pool   *Pool
 	root   PFN
-	tables map[uint64]PFN // top-level index -> second-level table frame
-	pages  map[uint64]pte // vpn -> entry
+	tables map[uint64]*pageTable // top-level index -> second-level table
+	npages int                   // present entries over all tables
+
+	// The table of the last walk. Tables are never freed, so it stays
+	// valid across Map and Unmap, and a walk that changes page within
+	// it skips the map lookup.
+	lastTop uint64
+	last    *pageTable
 
 	// One-entry walk memo. Successive accesses overwhelmingly hit the
-	// same page, so this skips both map lookups on the hot path. Map and
+	// same page, so this skips the table walk on the hot path. Map and
 	// Unmap are the only mutators of the translation structures and both
 	// invalidate it.
 	memoOK  bool
@@ -45,8 +79,7 @@ func NewAddressSpace(asid uint16, pool *Pool) (*AddressSpace, error) {
 		asid:   asid,
 		pool:   pool,
 		root:   root,
-		tables: make(map[uint64]PFN),
-		pages:  make(map[uint64]pte),
+		tables: make(map[uint64]*pageTable),
 	}, nil
 }
 
@@ -60,7 +93,7 @@ func (as *AddressSpace) Pool() *Pool { return as.pool }
 func (as *AddressSpace) RootFrame() PFN { return as.root }
 
 // MappedPages returns the number of mapped pages.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
+func (as *AddressSpace) MappedPages() int { return as.npages }
 
 // Map installs a translation from the page containing vaddr to frame.
 // Global mappings survive per-ASID TLB flushes (kernel mappings in the
@@ -68,15 +101,24 @@ func (as *AddressSpace) MappedPages() int { return len(as.pages) }
 // from the pool.
 func (as *AddressSpace) Map(vaddr uint64, frame PFN, global bool) error {
 	vpn := vaddr >> PageBits
+	if frame > maxFrame {
+		return fmt.Errorf("map vpn %#x: frame %#x beyond the page-table entry's %#x", vpn, frame, maxFrame)
+	}
 	top := vpn / l2TableSpan
-	if _, ok := as.tables[top]; !ok {
+	t := as.tables[top]
+	if t == nil {
 		f, err := as.pool.Alloc()
 		if err != nil {
 			return fmt.Errorf("page table for vpn %#x: %w", vpn, err)
 		}
-		as.tables[top] = f
+		t = &pageTable{frame: f}
+		as.tables[top] = t
 	}
-	as.pages[vpn] = pte{frame: frame, global: global}
+	e := &t.ptes[vpn%l2TableSpan]
+	if *e == 0 {
+		as.npages++
+	}
+	*e = makePTE(frame, global)
 	as.memoOK = false
 	return nil
 }
@@ -92,9 +134,14 @@ func (as *AddressSpace) MapRange(vaddr uint64, frames []PFN, global bool) error 
 	return nil
 }
 
-// Unmap removes the translation for the page containing vaddr.
+// Unmap removes the translation for the page containing vaddr. The
+// second-level table stays, as it does in the hardware-walked layout.
 func (as *AddressSpace) Unmap(vaddr uint64) {
-	delete(as.pages, vaddr>>PageBits)
+	vpn := vaddr >> PageBits
+	if t := as.tables[vpn/l2TableSpan]; t != nil && t.ptes[vpn%l2TableSpan] != 0 {
+		t.ptes[vpn%l2TableSpan] = 0
+		as.npages--
+	}
 	as.memoOK = false
 }
 
@@ -117,36 +164,60 @@ func (as *AddressSpace) Translate(vaddr uint64) (Translation, bool) {
 		tr.PAddr = tr.Frame.Addr() | (vaddr & (PageSize - 1))
 		return tr, true
 	}
-	e, ok := as.pages[vpn]
-	if !ok {
+	top := vpn / l2TableSpan
+	t := as.last
+	if t == nil || as.lastTop != top {
+		if t = as.tables[top]; t == nil {
+			return Translation{}, false
+		}
+		as.last, as.lastTop = t, top
+	}
+	second := vpn % l2TableSpan
+	e := t.ptes[second]
+	if e == 0 {
 		return Translation{}, false
 	}
-	top := vpn / l2TableSpan
-	second := vpn % l2TableSpan
-	tbl := as.tables[top]
 	tr := Translation{
-		PAddr:  e.frame.Addr() | (vaddr & (PageSize - 1)),
-		Frame:  e.frame,
-		Global: e.global,
+		PAddr:  e.frame().Addr() | (vaddr & (PageSize - 1)),
+		Frame:  e.frame(),
+		Global: e.global(),
 		Walk: [2]uint64{
 			as.root.Addr() + (top%l2TableSpan)*8,
-			tbl.Addr() + second*8,
+			t.frame.Addr() + second*8,
 		},
 	}
 	as.memoOK, as.memoVPN, as.memoTr = true, vpn, tr
 	return tr, true
 }
 
-// Frames enumerates every physical frame the address space references:
-// the root table, second-level tables, and all mapped frames. Auditing
-// code uses it to verify colour discipline.
-func (as *AddressSpace) Frames() []PFN {
-	out := []PFN{as.root}
-	for _, f := range as.tables {
-		out = append(out, f)
+// sortedTops returns the top-level indices of the second-level tables
+// in ascending order.
+func (as *AddressSpace) sortedTops() []uint64 {
+	tops := make([]uint64, 0, len(as.tables))
+	for top := range as.tables {
+		tops = append(tops, top)
 	}
-	for _, e := range as.pages {
-		out = append(out, e.frame)
+	slices.Sort(tops)
+	return tops
+}
+
+// Frames enumerates every physical frame the address space references:
+// the root table, the second-level tables by top-level index, then the
+// mapped frames by VPN. Auditing code uses it to verify colour
+// discipline, and the fixed order makes its reports reproducible.
+func (as *AddressSpace) Frames() []PFN {
+	tops := as.sortedTops()
+	out := make([]PFN, 0, 1+len(tops)+as.npages)
+	out = append(out, as.root)
+	for _, top := range tops {
+		out = append(out, as.tables[top].frame)
+	}
+	for _, top := range tops {
+		for _, e := range &as.tables[top].ptes {
+			if e != 0 {
+				out = append(out, e.frame())
+			}
+		}
 	}
 	return out
 }

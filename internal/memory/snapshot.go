@@ -8,7 +8,6 @@ package memory
 
 import (
 	"fmt"
-	"sort"
 
 	"timeprotection/internal/enc"
 )
@@ -108,64 +107,83 @@ func DecodePool(a *FrameAllocator, r *enc.Reader) (*Pool, error) {
 }
 
 // EncodeState appends the address space's translation state to w (the
-// walk memo is transient and excluded; the backing pool is supplied
-// again at decode time). Map entries are written in sorted key order so
-// the encoding is canonical.
+// walk memo and last-table pointer are transient and excluded; the
+// backing pool is supplied again at decode time): the tables in
+// top-level order, then the mapped pages in VPN order, so the encoding
+// is canonical.
 func (as *AddressSpace) EncodeState(w *enc.Writer) {
 	w.U64(uint64(as.asid))
 	w.U64(uint64(as.root))
-	tops := make([]uint64, 0, len(as.tables))
-	for k := range as.tables {
-		tops = append(tops, k)
-	}
-	sort.Slice(tops, func(i, j int) bool { return tops[i] < tops[j] })
+	tops := as.sortedTops()
 	w.U64(uint64(len(tops)))
-	for _, k := range tops {
-		w.U64(k)
-		w.U64(uint64(as.tables[k]))
+	for _, top := range tops {
+		w.U64(top)
+		w.U64(uint64(as.tables[top].frame))
 	}
-	vpns := make([]uint64, 0, len(as.pages))
-	for k := range as.pages {
-		vpns = append(vpns, k)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	w.U64(uint64(len(vpns)))
-	for _, k := range vpns {
-		e := as.pages[k]
-		w.U64(k)
-		w.U64(uint64(e.frame))
-		w.Bool(e.global)
+	w.U64(uint64(as.npages))
+	for _, top := range tops {
+		for i, e := range &as.tables[top].ptes {
+			if e != 0 {
+				w.U64(top*l2TableSpan + uint64(i))
+				w.U64(uint64(e.frame()))
+				w.Bool(e.global())
+			}
+		}
 	}
 }
 
 // DecodeAddressSpace reconstructs an address space backed by pool from
-// EncodeState output.
+// EncodeState output. It rejects a page whose table was not decoded, a
+// table or page listed twice, and a frame no page-table entry can hold.
+// Counts are checked against the bytes left, never trusted as sizes.
 func DecodeAddressSpace(pool *Pool, r *enc.Reader) (*AddressSpace, error) {
 	as := &AddressSpace{
-		asid: uint16(r.U64()),
-		root: PFN(r.U64()),
-		pool: pool,
+		asid:   uint16(r.U64()),
+		root:   PFN(r.U64()),
+		pool:   pool,
+		tables: make(map[uint64]*pageTable),
 	}
-	nt := int(r.U64())
-	if r.Err() != nil {
-		return nil, r.Err()
+	nt := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	as.tables = make(map[uint64]PFN, nt)
-	for i := 0; i < nt; i++ {
-		k := r.U64()
-		as.tables[k] = PFN(r.U64())
+	if nt > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("memory: %d page tables in %d bytes", nt, r.Remaining())
 	}
-	np := int(r.U64())
-	if r.Err() != nil {
-		return nil, r.Err()
+	for i := uint64(0); i < nt; i++ {
+		top, f := r.U64(), PFN(r.U64())
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if as.tables[top] != nil {
+			return nil, fmt.Errorf("memory: page table %#x listed twice", top)
+		}
+		as.tables[top] = &pageTable{frame: f}
 	}
-	as.pages = make(map[uint64]pte, np)
-	for i := 0; i < np; i++ {
-		k := r.U64()
-		f := PFN(r.U64())
-		g := r.Bool()
-		as.pages[k] = pte{frame: f, global: g}
+	np := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
+	if np > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("memory: %d pages in %d bytes", np, r.Remaining())
+	}
+	for i := uint64(0); i < np; i++ {
+		vpn, f, g := r.U64(), PFN(r.U64()), r.Bool()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		t := as.tables[vpn/l2TableSpan]
+		switch {
+		case t == nil:
+			return nil, fmt.Errorf("memory: page %#x has no page table", vpn)
+		case t.ptes[vpn%l2TableSpan] != 0:
+			return nil, fmt.Errorf("memory: page %#x listed twice", vpn)
+		case f > maxFrame:
+			return nil, fmt.Errorf("memory: page %#x maps frame %#x beyond %#x", vpn, f, maxFrame)
+		}
+		t.ptes[vpn%l2TableSpan] = makePTE(f, g)
+	}
+	as.npages = int(np)
 	return as, r.Err()
 }
 
