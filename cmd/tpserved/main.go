@@ -40,11 +40,12 @@
 // the simulation.
 //
 // With -store, sessions are also durable: each session's spec and
-// applied step sizes are journaled before the step is acknowledged,
-// and a restarted daemon lazily restores a journaled session by
-// forking a fresh machine and deterministically replaying the steps —
-// kill -9 mid-session then step-to-completion is byte-identical to
-// the uninterrupted run. Steps may carry a client sequence number
+// position (simulation chunks run, steps taken, last sequenced step)
+// are journaled before the step is acknowledged, in a record that does
+// not grow with the step count, and a restarted daemon lazily restores
+// a journaled session by forking a fresh machine and deterministically
+// advancing it to that position — kill -9 mid-session then
+// step-to-completion is byte-identical to the uninterrupted run. Steps may carry a client sequence number
 // (?seq= or body "seq"): retrying the last applied sequence returns
 // the byte-identical cached response without advancing the session
 // (stale sequences answer 409 seq_conflict), which makes "retry the
@@ -52,7 +53,8 @@
 // shard failovers. In a cluster, each session hashes to a sticky ring
 // owner, any shard forwards /v1/sessions/* to it (streams included),
 // the journal replicates synchronously to -replicas ring successors,
-// and a successor adopts the session by replay when the owner dies.
+// and a successor adopts the session by restoring it when the owner
+// dies.
 // The -net-fault-* flags install a deterministic network fault
 // injector (drops, added latency, keyed by seed/src/dst/attempt) on
 // the inter-shard transport for partition drills.

@@ -219,5 +219,5 @@ func PrepareInterruptChannel(s Spec, partition bool) (*Interactive, error) {
 		return nil, err
 	}
 	done := func() bool { return obs.FirstOnline.N() >= s.Samples }
-	return newInteractive(sys, obs.FirstOnline, done, s.Samples*2+400, false, s.Samples), nil
+	return newInteractive(sys, obs.FirstOnline, done, InterruptChunkCap(s.Samples), false, s.Samples), nil
 }

@@ -114,10 +114,6 @@ func buildSystem(s Spec) (*core.System, error) {
 	return sys, nil
 }
 
-// receiverCap is the chunk-iteration bound of the receiver-driven
-// channels; reaching it without the samples is the starvation error.
-const receiverCap = 100000
-
 // Buffer base addresses (disjoint regions of the user address space).
 const (
 	senderBufBase   = 0x1000_0000
@@ -269,7 +265,7 @@ func PrepareIntraCore(s Spec, res Resource) (*Interactive, error) {
 	if _, err := sys.Spawn(1, "receiver", 10, recv); err != nil {
 		return nil, err
 	}
-	return newInteractive(sys, recv.Dataset(), recv.Done, receiverCap, true, s.Samples), nil
+	return newInteractive(sys, recv.Dataset(), recv.Done, ReceiverChunkCap, true, s.Samples), nil
 }
 
 // intraCoreLines maps the sender's (domain 0) and receiver's (domain 1)
@@ -428,5 +424,5 @@ func PrepareKernelChannel(s Spec) (*Interactive, error) {
 	if _, err := sys.Spawn(1, "receiver", 10, recv); err != nil {
 		return nil, err
 	}
-	return newInteractive(sys, recv.Dataset(), recv.Done, receiverCap, true, s.Samples), nil
+	return newInteractive(sys, recv.Dataset(), recv.Done, ReceiverChunkCap, true, s.Samples), nil
 }

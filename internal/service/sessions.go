@@ -55,7 +55,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // reserved for the race where the session closes mid-operation. Get
 // falls through to the journal, so a session this daemon has never
 // held in memory (pre-restart, or adopted from a dead peer's replica)
-// resolves here too: the registry restores it by deterministic replay.
+// resolves here too: the registry restores it by deterministic
+// simulation.
 func (s *Server) sessionFor(w http.ResponseWriter, r *http.Request) (*session.Session, bool) {
 	id := r.PathValue("id")
 	sess, ok := s.opts.Sessions.Get(id)

@@ -1,6 +1,8 @@
 package session
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -43,8 +45,8 @@ func restart(t *testing.T, r *Registry, st *store.Store, dir string) (*Registry,
 // journaled session killed and restored at EVERY step boundary — a
 // fresh registry and reopened store before each step — still produces
 // byte-identical samples and an identical MI verdict to the
-// uninterrupted one-shot run. Replay is the codec: no machine state
-// crosses the restart except the Spec and the step log.
+// uninterrupted one-shot run. Simulation is the codec: no machine state
+// crosses the restart except the Spec and the journaled position.
 func TestRestoreMatchesOneShot(t *testing.T) {
 	sp := Spec{Channel: "l1d", Samples: 24, Seed: ptr(7)}
 	want := oneShot(t, sp)
@@ -175,8 +177,9 @@ func TestStepSeqExactlyOnce(t *testing.T) {
 		t.Fatalf("seq 1 after 2 = %v, want ErrStaleSeq", err)
 	}
 
-	// Kill and restore: the journal replays seqs 1 and 2, so the retry
-	// contract survives the crash — same cached totals, same conflict.
+	// Kill and restore: restore re-runs seq 2 from its start chunk, so
+	// the retry contract survives the crash — same cached totals, same
+	// conflict.
 	r2, _ := restart(t, r, st, dir)
 	s2, ok := r2.Get(id)
 	if !ok {
@@ -468,5 +471,192 @@ func TestIDPrefixForAddr(t *testing.T) {
 		if !strings.HasPrefix(s.ID, want+"-") || !strings.HasSuffix(s.ID, "-1") {
 			t.Errorf("minted ID %q, want %q-<epoch>-1", s.ID, want)
 		}
+	}
+}
+
+// stepOp is one step of a scripted session: its rounds and client
+// sequence number (0 = unsequenced).
+type stepOp struct {
+	rounds int
+	seq    uint64
+}
+
+// stepTwin runs ops against an unjournaled session of the same spec —
+// the reference a restored session must equal — and returns it with
+// the JSON of each sequenced step's response, by seq.
+func stepTwin(t *testing.T, sp Spec, ops []stepOp) (*Session, map[uint64][]byte) {
+	t.Helper()
+	r := newTestRegistry(t, Options{})
+	s, err := r.Create(sp)
+	if err != nil {
+		t.Fatalf("twin Create: %v", err)
+	}
+	return s, applyOps(t, s, ops)
+}
+
+func applyOps(t *testing.T, s *Session, ops []stepOp) map[uint64][]byte {
+	t.Helper()
+	out := map[uint64][]byte{}
+	for i, op := range ops {
+		res, err := s.StepSeq(op.rounds, op.seq)
+		if err != nil {
+			t.Fatalf("op %d %+v: %v", i, op, err)
+		}
+		if op.seq != 0 {
+			out[op.seq] = mustJSON(t, res)
+		}
+	}
+	return out
+}
+
+// sameSession compares what a client can observe of two sessions: the
+// Status counters and verdict, and the whole dataset.
+func sameSession(t *testing.T, got, want *Session) {
+	t.Helper()
+	g, w := got.Status(), want.Status()
+	if g.Collected != w.Collected || g.Steps != w.Steps || g.Done != w.Done {
+		t.Fatalf("status collected/steps/done = %d/%d/%v, twin %d/%d/%v",
+			g.Collected, g.Steps, g.Done, w.Collected, w.Steps, w.Done)
+	}
+	if !bytes.Equal(mustJSON(t, g.Verdict), mustJSON(t, w.Verdict)) {
+		t.Fatalf("verdict %+v, twin %+v", g.Verdict, w.Verdict)
+	}
+	gs, ws := got.x.Dataset().Since(0), want.x.Dataset().Since(0)
+	if len(gs) != len(ws) {
+		t.Fatalf("dataset holds %d samples, twin %d", len(gs), len(ws))
+	}
+	for i := range gs {
+		if gs[i] != ws[i] {
+			t.Fatalf("sample %d = %+v, twin %+v", i, gs[i], ws[i])
+		}
+	}
+}
+
+// TestMixedStepsAcrossRestore: sequenced and unsequenced steps, killed
+// and restored from the position journal, leave a session equal to an
+// unjournaled twin stepped the same way. Retrying the last sequenced
+// step answers its pre-kill response byte for byte, an older seq is
+// stale, and the session then runs on in step with its twin. The last
+// case finishes the attack with unsequenced steps after the last
+// sequenced one, so restore must settle the verdict itself.
+func TestMixedStepsAcrossRestore(t *testing.T) {
+	sp := Spec{Channel: "l1d", Samples: 24, Seed: ptr(7)}
+	cases := []struct {
+		name string
+		ops  []stepOp
+	}{
+		{"seq1-unseq-unseq", []stepOp{{3, 1}, {1, 0}, {5, 0}}},
+		{"seq1-seq2-unseq", []stepOp{{2, 1}, {4, 2}, {1, 0}}},
+		{"unseq-only", []stepOp{{1, 0}, {6, 0}}},
+		{"done-after-last-seq", []stepOp{{2, 1}, {1, 0}, {100, 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			twin, twinRes := stepTwin(t, sp, tc.ops)
+
+			dir := t.TempDir()
+			st := openJournal(t, dir)
+			r := NewRegistry(Options{Journal: st})
+			s, err := r.Create(sp)
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			preKill := applyOps(t, s, tc.ops)
+
+			r, _ = restart(t, r, st, dir)
+			got, ok := r.Get(s.ID)
+			if !ok {
+				t.Fatalf("restore of %q failed", s.ID)
+			}
+			sameSession(t, got, twin)
+			if stats := r.Stats(); stats.Steps != uint64(len(tc.ops)) || stats.Samples != uint64(twin.Status().Collected) {
+				t.Errorf("registry counted %d steps, %d samples after restore; twin %d, %d",
+					stats.Steps, stats.Samples, len(tc.ops), twin.Status().Collected)
+			}
+
+			var last uint64
+			for _, op := range tc.ops {
+				last = max(last, op.seq)
+			}
+			if last != 0 {
+				retry, err := got.StepSeq(1, last)
+				if err != nil {
+					t.Fatalf("retry seq %d: %v", last, err)
+				}
+				if b := mustJSON(t, retry); !bytes.Equal(b, preKill[last]) || !bytes.Equal(b, twinRes[last]) {
+					t.Fatalf("retry seq %d answered\n%s\npre-kill\n%s", last, b, preKill[last])
+				}
+			}
+			for seq := uint64(1); seq < last; seq++ {
+				if _, err := got.StepSeq(1, seq); !errors.Is(err, ErrStaleSeq) {
+					t.Fatalf("seq %d after %d = %v, want ErrStaleSeq", seq, last, err)
+				}
+			}
+			sameSession(t, got, twin)
+
+			// Both run on identically to completion.
+			more := []stepOp{{2, last + 1}, {1, 0}, {1000, last + 2}}
+			a, b := applyOps(t, got, more), applyOps(t, twin, more)
+			for seq := range b {
+				if !bytes.Equal(a[seq], b[seq]) {
+					t.Fatalf("seq %d after restore answered\n%s\ntwin\n%s", seq, a[seq], b[seq])
+				}
+			}
+			sameSession(t, got, twin)
+			if !got.Status().Done {
+				t.Fatal("session not done after a 1000-round step")
+			}
+		})
+	}
+}
+
+// TestLegacyListJournalRestores: a doc in the list form, which journaled
+// every step instead of the position, restores by replaying its list
+// once to the state an unjournaled twin reaches, and the session's next
+// step rewrites it in position form.
+func TestLegacyListJournalRestores(t *testing.T) {
+	sp := Spec{Channel: "l1d", Samples: 24, Seed: ptr(7)}
+	ops := []stepOp{{3, 1}, {1, 0}, {5, 0}}
+	twin, twinRes := stepTwin(t, sp, ops)
+
+	const id = "s-legacy-1"
+	j := newMemJournal()
+	j.docs[Key(id)] = legacyDoc(id, `[{"seq":1,"rounds":3},{"rounds":1},{"rounds":5}]`)
+	r := newTestRegistry(t, Options{Journal: j})
+	got, ok := r.Get(id)
+	if !ok {
+		t.Fatal("list-form doc did not restore")
+	}
+	sameSession(t, got, twin)
+	if stats := r.Stats(); stats.Restored != 1 || stats.Steps != 3 {
+		t.Errorf("counters after legacy restore: %+v", stats)
+	}
+	retry, err := got.StepSeq(3, 1)
+	if err != nil {
+		t.Fatalf("retry seq 1: %v", err)
+	}
+	if b := mustJSON(t, retry); !bytes.Equal(b, twinRes[1]) {
+		t.Fatalf("retry seq 1 answered\n%s\ntwin\n%s", b, twinRes[1])
+	}
+	if len(j.bodies()) != 0 {
+		t.Fatalf("restore or retry wrote the journal: %q", j.bodies())
+	}
+
+	if _, err := got.StepSeq(2, 2); err != nil {
+		t.Fatalf("StepSeq(2, 2): %v", err)
+	}
+	bodies := j.bodies()
+	if len(bodies) != 1 {
+		t.Fatalf("%d journal writes for one step", len(bodies))
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(bodies[0], &doc); err != nil {
+		t.Fatalf("rewritten doc: %v", err)
+	}
+	if steps := doc["steps"]; len(steps) == 0 || steps[0] == '[' {
+		t.Fatalf("rewritten doc still holds a step list: %s", bodies[0])
+	}
+	if string(doc["steps"]) != "4" {
+		t.Errorf("rewritten doc counts steps %s, want 4: %s", doc["steps"], bodies[0])
 	}
 }

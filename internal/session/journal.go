@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"timeprotection/internal/channel"
 )
 
 // Journal is the narrow durable-store surface the registry journals
@@ -52,54 +54,158 @@ func validID(id string) error {
 	return nil
 }
 
-// StepRec is one journaled step: the (clamped) rounds requested and the
-// client sequence number that requested them (0 = unsequenced). The
-// step log is the whole session state — simulation is deterministic, so
-// replaying the same rounds against a machine forked from the same Spec
-// reconstructs the session byte-for-byte. No closure serialization:
-// replay *is* the codec.
+// journalDoc is the JSON body stored under Key(id): the session's
+// position, or a tombstone (Closed set) marking a deleted/reaped session
+// so it can never be resurrected. The position is constant-size however
+// long the session runs: the Spec to fork a fresh machine from, the
+// chunk count the attack has run (simulation is deterministic, so
+// advancing a fresh fork to the same count lands on byte-identical
+// state — no machine state is serialized), the step count Status
+// reports, and the last sequenced step, whose re-run rebuilds the
+// cached idempotent response and the stale-seq state. Every field is
+// always written, so the doc only ever grows by the digits of its
+// counters.
+type journalDoc struct {
+	ID     string   `json:"id"`
+	Spec   Spec     `json:"spec"`
+	Steps  uint64   `json:"steps"`
+	Chunks int      `json:"chunks"`
+	Last   lastStep `json:"last"`
+	Closed string   `json:"closed,omitempty"`
+}
+
+// lastStep is a session's last sequenced step: its client sequence
+// number, the (clamped) rounds it requested, and the chunk count it
+// started from. The zero value means no step was sequenced yet.
+type lastStep struct {
+	Seq    uint64 `json:"seq"`
+	Rounds int    `json:"rounds"`
+	From   int    `json:"from"`
+}
+
+// StepRec is one step of the list-form doc, the journal format that
+// recorded every step's rounds and sequence number (0 = unsequenced)
+// instead of the session's position. Such docs still restore, by
+// replaying the list once; the session's next step rewrites the doc in
+// position form.
 type StepRec struct {
 	Seq    uint64 `json:"seq,omitempty"`
 	Rounds int    `json:"rounds"`
 }
 
-// journalDoc is the JSON body stored under Key(id): everything needed
-// to rebuild the session (Spec + step log), or a tombstone (Closed set)
-// marking a deleted/reaped session so it can never be resurrected.
-type journalDoc struct {
-	ID     string    `json:"id"`
-	Spec   Spec      `json:"spec"`
-	Steps  []StepRec `json:"steps,omitempty"`
-	Closed string    `json:"closed,omitempty"`
+// errJournal wraps every reason decodeJournal rejects a doc.
+var errJournal = errors.New("session: invalid journal doc")
+
+// chunkCap is the chunk-iteration cap of the attack a normalized spec
+// prepares — the most chunks a session of that spec can ever run.
+func chunkCap(sp Spec) int {
+	if sp.Channel == "interrupt" {
+		return channel.InterruptChunkCap(sp.Samples)
+	}
+	return channel.ReceiverChunkCap
 }
 
-// journalLocked persists the session's current doc (caller holds s.mu).
-// The write is synchronous — a step is only acknowledged once its
-// journal record is durable, so an acknowledged step survives a crash —
-// and then replicated to ring successors when clustered. Journal
-// failures degrade (counted, logged by the store) rather than failing
-// the step: the in-memory session stays correct, and a crash loses at
-// most the unjournalled tail, exactly like a crash before the step.
-func (s *Session) journalLocked() {
-	if s.replaying {
-		return
-	}
-	j := s.reg.opts.Journal
-	if j == nil {
-		return
-	}
-	b, err := json.Marshal(journalDoc{ID: s.ID, Spec: s.spec, Steps: s.stepLog})
+// decodeJournal parses and checks a journal doc. Docs arrive from disk
+// and from peers' replica PUTs, so nothing in one is trusted: the ID
+// must be valid; a tombstone needs nothing more, any other doc a spec
+// that normalizes (the returned doc carries the normalized spec). A
+// position doc's chunk count must lie within the spec's chunk cap, and
+// its last sequenced step, unless zero, must have rounds in
+// 1..MaxStepRounds and a start chunk no later than the doc's position.
+// A list-form doc (steps is an array) must hold rounds in
+// 1..MaxStepRounds and strictly increasing seqs, and is returned as the
+// list to replay.
+func decodeJournal(body []byte) (journalDoc, []StepRec, error) {
+	doc, recs, err := parseJournal(body)
 	if err != nil {
-		s.reg.journalErrors.Add(1)
-		return
+		return journalDoc{}, nil, fmt.Errorf("%w: %v", errJournal, err)
 	}
-	if err := j.Update(Key(s.ID), b); err != nil {
-		s.reg.journalErrors.Add(1)
-		return
+	return doc, recs, nil
+}
+
+func parseJournal(body []byte) (journalDoc, []StepRec, error) {
+	var wire struct {
+		journalDoc
+		Steps json.RawMessage `json:"steps"` // a count, or the list form
 	}
-	if rep := s.reg.opts.Replicate; rep != nil {
-		rep(Key(s.ID), b)
+	if err := json.Unmarshal(body, &wire); err != nil {
+		return journalDoc{}, nil, err
 	}
+	doc := wire.journalDoc
+	if err := validID(doc.ID); err != nil {
+		return journalDoc{}, nil, err
+	}
+	if doc.Closed != "" {
+		return journalDoc{ID: doc.ID, Closed: doc.Closed}, nil, nil
+	}
+	spec, err := doc.Spec.withDefaults()
+	if err != nil {
+		return journalDoc{}, nil, err
+	}
+	doc.Spec = spec
+	if len(wire.Steps) > 0 && wire.Steps[0] == '[' {
+		if doc.Chunks != 0 || doc.Last != (lastStep{}) {
+			return journalDoc{}, nil, errors.New("step list beside a position")
+		}
+		recs, err := parseStepList(wire.Steps)
+		return doc, recs, err
+	}
+	if len(wire.Steps) > 0 {
+		if err := json.Unmarshal(wire.Steps, &doc.Steps); err != nil {
+			return journalDoc{}, nil, err
+		}
+	}
+	l := doc.Last
+	switch {
+	case doc.Chunks < 0 || doc.Chunks > chunkCap(spec):
+		return journalDoc{}, nil, fmt.Errorf("chunks %d outside 0..%d", doc.Chunks, chunkCap(spec))
+	case doc.Chunks > 0 && doc.Steps == 0:
+		return journalDoc{}, nil, fmt.Errorf("%d chunks run by no step", doc.Chunks)
+	case l == (lastStep{}):
+		return doc, nil, nil
+	case l.Seq == 0 || doc.Steps == 0:
+		return journalDoc{}, nil, fmt.Errorf("last step %+v without a seq or a step", l)
+	case l.Rounds < 1 || l.Rounds > MaxStepRounds:
+		return journalDoc{}, nil, fmt.Errorf("last step rounds %d", l.Rounds)
+	case l.From < 0 || l.From > doc.Chunks:
+		return journalDoc{}, nil, fmt.Errorf("last step from chunk %d, position %d", l.From, doc.Chunks)
+	}
+	return doc, nil, nil
+}
+
+// parseStepList checks a list-form doc's steps.
+func parseStepList(raw json.RawMessage) ([]StepRec, error) {
+	var recs []StepRec
+	if err := json.Unmarshal(raw, &recs); err != nil {
+		return nil, err
+	}
+	var seq uint64
+	for i, rec := range recs {
+		if rec.Rounds < 1 || rec.Rounds > MaxStepRounds {
+			return nil, fmt.Errorf("step %d rounds %d", i, rec.Rounds)
+		}
+		if rec.Seq != 0 {
+			if rec.Seq <= seq {
+				return nil, fmt.Errorf("step %d seq %d after %d", i, rec.Seq, seq)
+			}
+			seq = rec.Seq
+		}
+	}
+	return recs, nil
+}
+
+// journalLocked persists the session's current position (caller holds
+// s.mu). The write is synchronous — a step is only acknowledged once
+// its journal record is durable, so an acknowledged step survives a
+// crash — and then replicated to ring successors when clustered.
+// Journal failures degrade (counted, logged by the store) rather than
+// failing the step: the in-memory session stays correct, and a crash
+// loses at most the unjournalled tail, exactly like a crash before the
+// step.
+func (s *Session) journalLocked() {
+	s.reg.writeJournal(journalDoc{
+		ID: s.ID, Spec: s.spec, Steps: s.steps.Load(), Chunks: s.x.Chunks(), Last: s.last,
+	})
 }
 
 // tombstone overwrites a session's journal doc with a closed marker:
@@ -107,20 +213,26 @@ func (s *Session) journalLocked() {
 // failovers. Shutdown is deliberately not tombstoned — a drained
 // daemon's sessions are exactly the ones restore exists for.
 func (r *Registry) tombstone(id, reason string) {
+	r.writeJournal(journalDoc{ID: id, Closed: reason})
+}
+
+// writeJournal stores a doc under its session's key and replicates it.
+func (r *Registry) writeJournal(doc journalDoc) {
 	j := r.opts.Journal
 	if j == nil {
 		return
 	}
-	b, err := json.Marshal(journalDoc{ID: id, Closed: reason})
+	b, err := json.Marshal(doc)
 	if err != nil {
+		r.journalErrors.Add(1)
 		return
 	}
-	if err := j.Update(Key(id), b); err != nil {
+	if err := j.Update(Key(doc.ID), b); err != nil {
 		r.journalErrors.Add(1)
 		return
 	}
 	if rep := r.opts.Replicate; rep != nil {
-		rep(Key(id), b)
+		rep(Key(doc.ID), b)
 	}
 }
 
@@ -137,16 +249,16 @@ func (r *Registry) journalLive(id string) bool {
 	if !ok {
 		return false
 	}
-	var doc journalDoc
-	return json.Unmarshal(body, &doc) == nil && doc.Closed == ""
+	doc, _, err := decodeJournal(body)
+	return err == nil && doc.Closed == ""
 }
 
 // restore lazily re-creates a journaled session on first access after a
-// restart or failover: fork a fresh machine from the journaled Spec,
-// replay the step log in order, and the deterministic simulation lands
-// on byte-identical state. Concurrent restores of the same ID collapse
-// to one (the rest wait and adopt the result); distinct IDs restore in
-// parallel.
+// restart or failover: fork a fresh machine from the journaled Spec and
+// advance it to the journaled position, and the deterministic
+// simulation lands on byte-identical state. Concurrent restores of the
+// same ID collapse to one (the rest wait and adopt the result);
+// distinct IDs restore in parallel.
 func (r *Registry) restore(id string) (*Session, bool) {
 	if r.opts.Journal == nil || validID(id) != nil {
 		return nil, false
@@ -170,34 +282,72 @@ func (r *Registry) doRestore(id string) (*Session, bool) {
 	if !ok {
 		return nil, false
 	}
-	var doc journalDoc
-	if err := json.Unmarshal(body, &doc); err != nil || doc.ID != id || doc.Closed != "" {
-		return nil, false
-	}
-	spec, err := doc.Spec.withDefaults()
-	if err != nil {
+	doc, recs, err := decodeJournal(body)
+	if err != nil || doc.ID != id || doc.Closed != "" {
 		return nil, false
 	}
 	if err := r.admit(); err != nil {
 		return nil, false
 	}
-	s, err := newSession(r, spec)
+	s, err := newSession(r, doc.Spec)
 	if err != nil {
 		return nil, false
 	}
-	s.replaying = true
-	for _, rec := range doc.Steps {
-		if _, err := s.StepSeq(rec.Rounds, rec.Seq); err != nil && !errors.Is(err, ErrStaleSeq) {
-			return nil, false
-		}
+	if recs != nil {
+		err = s.replayLegacy(recs)
+	} else {
+		err = s.resume(doc)
 	}
-	s.mu.Lock()
-	s.replaying = false
-	s.mu.Unlock()
+	if err != nil {
+		return nil, false
+	}
 	if err := r.insert(s, id); err != nil {
 		return nil, false
 	}
 	r.created.Add(1)
 	r.restored.Add(1)
 	return s, true
+}
+
+// resume moves a freshly forked session to a journaled position, in
+// order: advance to the last sequenced step's start chunk, re-run that
+// step unjournaled (rebuilding its cached response and the stale-seq
+// state), advance to the journaled chunk count, settle the verdict if
+// the attack is done, and count the journaled steps and samples into
+// the registry as if they had just been applied.
+func (s *Session) resume(doc journalDoc) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if l := doc.Last; l.Seq != 0 {
+		if !s.x.AdvanceTo(l.From) {
+			return fmt.Errorf("%w: cannot reach chunk %d", errJournal, l.From)
+		}
+		res, err := s.stepLocked(l.Rounds)
+		if err != nil {
+			return err
+		}
+		res.Verdict = s.settleLocked()
+		s.last, s.lastResult = l, res
+	}
+	if !s.x.AdvanceTo(doc.Chunks) {
+		return fmt.Errorf("%w: cannot reach chunk %d", errJournal, doc.Chunks)
+	}
+	s.settleLocked()
+	total := s.x.Dataset().N()
+	s.collected.Store(int64(total))
+	s.count(doc.Steps, total)
+	return nil
+}
+
+// replayLegacy restores a list-form doc by applying its steps in order,
+// once, unjournaled.
+func (s *Session) replayLegacy(recs []StepRec) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range recs {
+		if _, err := s.applyLocked(rec.Rounds, rec.Seq); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -84,11 +84,12 @@ type Options struct {
 	Clock func() time.Time
 
 	// Journal, when non-nil, makes sessions durable: each session's
-	// Spec and step log are journalled through it (synchronously, per
-	// step) and restored lazily on first access after a restart —
-	// deterministic replay of the step log reconstructs the session
-	// byte-for-byte. nil = sessions die with the process (the
-	// pre-journal behaviour).
+	// Spec and position (chunks run, steps taken, last sequenced step)
+	// are journalled through it (synchronously, per step, in a doc
+	// whose size does not grow with the step count) and restored lazily
+	// on first access after a restart — a fresh fork advanced to the
+	// journaled position is the session byte-for-byte. nil = sessions
+	// die with the process (the pre-journal behaviour).
 	Journal Journal
 	// Replicate, when non-nil, pushes every journal write (and
 	// tombstone) to the cluster's ring successors, so a session

@@ -228,10 +228,8 @@ type Session struct {
 
 	mu         sync.Mutex // serializes stepping and the verdict computation
 	x          *channel.Interactive
-	stepLog    []StepRec   // every applied step, in order (the replay codec)
-	lastSeq    uint64      // highest client sequence number applied
-	lastResult *StepResult // the last sequenced step's result, for idempotent retries
-	replaying  bool        // restore replay in progress: suppress journal writes
+	last       lastStep    // the last sequenced step (its seq is the highest applied)
+	lastResult *StepResult // its result, for idempotent retries
 
 	closed    atomic.Bool
 	collected atomic.Int64
@@ -306,14 +304,16 @@ func (s *Session) Closed() bool { return s.closed.Load() }
 // MaxStepRounds bounds the rounds one step request may ask for — large
 // enough for any real attack increment, small enough that a garbage or
 // hostile value cannot pin the simulation (and, journaled, would not
-// poison every future replay of the session).
+// poison every future restore of the session).
 const MaxStepRounds = 1 << 20
 
-// Step advances the attack by up to n samples (minimum 1), returning
-// the probe latencies it collected and the running MI estimate. On the
-// step that completes the target it computes, caches and publishes the
-// final verdict — the same mi.Analyze(ds, rand(seed)) the one-shot
-// tpattack report path runs.
+// Step advances the attack in whole simulation chunks until at least n
+// more samples are in (n is clamped to 1..MaxStepRounds), the attack
+// completes, or its iteration cap is reached, returning the probe
+// latencies it collected and the running MI estimate. On the step that
+// completes the target it computes, caches and publishes the final
+// verdict — the same mi.Analyze(ds, rand(seed)) the one-shot tpattack
+// report path runs.
 func (s *Session) Step(n int) (*StepResult, error) { return s.StepSeq(n, 0) }
 
 // StepSeq is Step with a client-supplied sequence number making retries
@@ -321,12 +321,10 @@ func (s *Session) Step(n int) (*StepResult, error) { return s.StepSeq(n, 0) }
 // retry of the last applied sequence returns its cached result without
 // advancing the simulation, and an older sequence fails with
 // ErrStaleSeq. Sequence 0 opts out (plain Step). The guarantee holds
-// across crashes and failovers because the sequence rides the journal:
-// whoever replays the log knows exactly which steps already happened.
+// across crashes and failovers because the last sequenced step rides
+// the journal: restore re-runs it from the chunk it started at.
 func (s *Session) StepSeq(n int, seq uint64) (*StepResult, error) {
-	if n < 1 {
-		n = 1
-	}
+	n = min(max(n, 1), MaxStepRounds)
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -336,14 +334,43 @@ func (s *Session) StepSeq(n int, seq uint64) (*StepResult, error) {
 		return nil, ErrClosed
 	}
 	if seq != 0 {
-		if seq == s.lastSeq && s.lastResult != nil {
+		if seq == s.last.Seq {
 			s.touch()
 			return s.lastResult, nil
 		}
-		if seq <= s.lastSeq {
-			return nil, fmt.Errorf("%w: seq %d already applied (last %d)", ErrStaleSeq, seq, s.lastSeq)
+		if seq < s.last.Seq {
+			return nil, fmt.Errorf("%w: seq %d already applied (last %d)", ErrStaleSeq, seq, s.last.Seq)
 		}
 	}
+	res, err := s.applyLocked(n, seq)
+	if err != nil {
+		return nil, err
+	}
+	s.journalLocked()
+	return res, nil
+}
+
+// applyLocked is StepSeq after its sequence checks and without the
+// journal write: run the step, count it, settle the verdict, and
+// remember it as the last sequenced step when seq is nonzero.
+func (s *Session) applyLocked(n int, seq uint64) (*StepResult, error) {
+	from := s.x.Chunks()
+	res, err := s.stepLocked(n)
+	if err != nil {
+		return nil, err
+	}
+	s.count(1, res.Collected)
+	res.Verdict = s.settleLocked()
+	if seq != 0 {
+		s.last = lastStep{Seq: seq, Rounds: n, From: from}
+		s.lastResult = res
+	}
+	return res, nil
+}
+
+// stepLocked runs the simulation for one step of n rounds, publishes
+// the live MI update and builds the step's response, less its verdict.
+func (s *Session) stepLocked(n int) (*StepResult, error) {
 	s.touch()
 	ds := s.x.Dataset()
 	before := ds.N()
@@ -359,9 +386,6 @@ func (s *Session) StepSeq(n int, seq uint64) (*StepResult, error) {
 	s.touch()
 	total := ds.N()
 	s.collected.Store(int64(total))
-	s.steps.Add(1)
-	s.reg.steps.Add(1)
-	s.reg.samples.Add(uint64(len(samples)))
 
 	miBits := mi.Estimate(ds)
 	if w := s.reg.opts.MIWindow; w > 0 && len(samples) > 0 && (before/w != total/w || s.x.Done()) {
@@ -376,20 +400,27 @@ func (s *Session) StepSeq(n int, seq uint64) (*StepResult, error) {
 	for i, sm := range samples {
 		res.Samples[i] = Sample{Index: before + i, Symbol: sm.Input, Value: sm.Output}
 	}
+	return res, nil
+}
+
+// count adds steps and the samples they collected to the session's and
+// the registry's counters.
+func (s *Session) count(steps uint64, samples int) {
+	s.steps.Add(steps)
+	s.reg.steps.Add(steps)
+	s.reg.samples.Add(uint64(samples))
+}
+
+// settleLocked computes, caches and publishes the verdict once the
+// attack is done, and returns the verdict (nil while it runs).
+func (s *Session) settleLocked() *Verdict {
 	if s.x.Done() && s.verdict.Load() == nil {
-		r := mi.Analyze(ds, rand.New(rand.NewSource(*s.spec.Seed)))
+		r := mi.Analyze(s.x.Dataset(), rand.New(rand.NewSource(*s.spec.Seed)))
 		v := &Verdict{MBits: r.M, M0Bits: r.M0, N: r.N, Leak: r.Leak(), Summary: r.String()}
 		s.verdict.Store(v)
 		s.publish(Event{Type: "done", Data: v})
 	}
-	res.Verdict = s.verdict.Load()
-	s.stepLog = append(s.stepLog, StepRec{Seq: seq, Rounds: n})
-	if seq != 0 {
-		s.lastSeq = seq
-		s.lastResult = res
-	}
-	s.journalLocked()
-	return res, nil
+	return s.verdict.Load()
 }
 
 // Status is the GET /v1/sessions/{id} document.

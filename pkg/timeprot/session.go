@@ -55,8 +55,9 @@ func NewInterruptChannelSession(partitioned bool, opts ...Option) (*Session, err
 	return &Session{x: x}, nil
 }
 
-// Step advances the attack until up to n further samples are collected
-// (minimum 1) and returns just those samples. At the target it returns
+// Step advances the attack in whole simulation chunks until at least n
+// further samples are collected (minimum 1; a chunk may bring more) and
+// returns just those samples. At the target it returns
 // empty slices; a starved receiver surfaces the one-shot path's error.
 func (s *Session) Step(n int) ([]Sample, error) {
 	return s.x.StepSamples(n, nil)
@@ -70,10 +71,8 @@ func (s *Session) Target() int { return s.x.Target() }
 
 // Collected returns how many samples the session has gathered so far —
 // with Target, the caller's progress gauge. Because stepping is
-// deterministic, Collected is also a resume point: replaying the same
-// step sizes against a fresh session reproduces the identical dataset,
-// which is how tpserved restores journaled daemon sessions after a
-// crash (see /v1/sessions in docs/api.md).
+// deterministic, replaying the same step sizes against a fresh session
+// reproduces the identical dataset.
 func (s *Session) Collected() int { return s.x.Dataset().N() }
 
 // Dataset returns the live dataset collected so far; pass it to
