@@ -42,15 +42,8 @@ func main() {
 	if !ok {
 		fatalf("unknown platform %q", *platform)
 	}
-	var sc kernel.Scenario
-	switch *scenario {
-	case "raw":
-		sc = kernel.ScenarioRaw
-	case "fullflush":
-		sc = kernel.ScenarioFullFlush
-	case "protected":
-		sc = kernel.ScenarioProtected
-	default:
+	sc, ok := kernel.ParseScenario(*scenario)
+	if !ok {
 		fatalf("unknown scenario %q", *scenario)
 	}
 	spec := channel.Spec{
@@ -58,16 +51,9 @@ func main() {
 		PadMicros: *pad, DisablePrefetcher: *noPF,
 	}
 
-	resources := map[string]channel.Resource{
-		"l1d": channel.L1D, "l1i": channel.L1I, "l2": channel.L2,
-		"tlb": channel.TLB, "btb": channel.BTB, "bhb": channel.BHB,
-	}
-
 	var ds *mi.Dataset
 	var err error
 	switch *chName {
-	case "kernel":
-		ds, err = channel.RunKernelChannel(spec)
 	case "flush":
 		var r *channel.FlushChannelResult
 		r, err = channel.RunFlushChannel(spec)
@@ -76,8 +62,6 @@ func main() {
 			ds = r.Offline
 			*chName = "flush channel (offline)"
 		}
-	case "interrupt":
-		ds, err = channel.RunInterruptChannel(spec, *partition)
 	case "llc":
 		var r *channel.LLCSideChannelResult
 		r, err = channel.RunLLCSideChannel(spec)
@@ -91,11 +75,14 @@ func main() {
 			len(r.TrueBits), len(r.Recovered), r.Accuracy*100)
 		return
 	default:
-		res, ok := resources[*chName]
+		c, ok := channel.LookupSteppable(*chName)
 		if !ok {
 			fatalf("unknown channel %q", *chName)
 		}
-		ds, err = channel.RunIntraCore(spec, res)
+		var x *channel.Interactive
+		if x, err = c.Prepare(spec, *partition); err == nil {
+			ds, err = x.Run()
+		}
 	}
 	if err != nil {
 		fatalf("%v", err)

@@ -118,17 +118,10 @@ func main() {
 }
 
 func scenarioByName(name string, dflt kernel.Scenario) (kernel.Scenario, bool) {
-	switch name {
-	case "":
+	if name == "" {
 		return dflt, true
-	case "raw":
-		return kernel.ScenarioRaw, true
-	case "fullflush":
-		return kernel.ScenarioFullFlush, true
-	case "protected":
-		return kernel.ScenarioProtected, true
 	}
-	return 0, false
+	return kernel.ParseScenario(name)
 }
 
 // runFigure3 replays the paper's Figure 3 kernel covert channel under
@@ -153,11 +146,13 @@ func runFigure3(plat hw.Platform, sc kernel.Scenario, samples int, sink *trace.S
 func runSynthetic(plat hw.Platform, sc kernel.Scenario, domains, slices int, sink *trace.Sink) {
 	var tail []trace.Event
 	kernelEvents := 0
+	byKind := map[trace.Kind]int{}
 	sink.OnEvent = func(e trace.Event) {
 		if e.Unit != trace.UnitKernel {
 			return
 		}
 		kernelEvents++
+		byKind[e.Kind]++
 		if len(tail) == traceTail {
 			tail = append(tail[:0], tail[1:]...)
 		}
@@ -240,9 +235,9 @@ func runSynthetic(plat hw.Platform, sc kernel.Scenario, domains, slices int, sin
 	}
 
 	fmt.Println("\nKernel metrics:")
-	m := sys.K.Metrics
 	fmt.Printf("  ticks %d, domain switches %d, kernel switches %d, syscalls %d, IRQs %d\n",
-		m.Ticks, m.DomainSwitches, m.KernelSwitches, m.Syscalls, m.IRQsHandled)
+		byKind[trace.KernelTick], byKind[trace.DomainSwitchBegin], byKind[trace.KernelSwitch],
+		byKind[trace.KernelSyscall], byKind[trace.KernelIRQ])
 
 	fmt.Printf("\nKernel trace tail (%d of %d kernel events):\n", len(tail), kernelEvents)
 	for _, e := range tail {

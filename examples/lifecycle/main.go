@@ -25,12 +25,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Keep the lifecycle events as they are emitted: every cache access
-	// is traced too, and would overwrite them in the per-core rings.
+	// Keep the lifecycle events as they are emitted, and count the
+	// ticks: every cache access is traced too, and would overwrite them
+	// in the per-core rings.
 	var lifecycle []timeprot.Event
+	ticks := 0
 	k.Tracer.OnEvent = func(e timeprot.Event) {
-		if e.Kind == timeprot.EvClone || e.Kind == timeprot.EvDestroy {
+		switch e.Kind {
+		case timeprot.EvClone, timeprot.EvDestroy:
 			lifecycle = append(lifecycle, e)
+		case timeprot.EvTick:
+			ticks++
 		}
 	}
 	nCol := plat.Colours()
@@ -49,13 +54,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		t0 := k.M.Cores[0].Now
 		img, err := k.Clone(0, k.BootImage(), km)
 		if err != nil {
 			log.Fatal(err)
 		}
 		images = append(images, img)
 		fmt.Printf("domain %d: colours %v -> kernel image #%d (clone cost %.1f us)\n",
-			i, pool.Colours(), img.ID, plat.CyclesToMicros(k.Metrics.LastCloneCycles))
+			i, pool.Colours(), img.ID, plat.CyclesToMicros(k.M.Cores[0].Now-t0))
 	}
 
 	// Domain 0 sub-divides: nested partitioning from its image.
@@ -94,7 +100,7 @@ func main() {
 
 	// The system keeps acknowledging ticks on the boot kernel.
 	k.RunCore(0, k.M.Cores[0].Now+4*k.Timeslice())
-	fmt.Printf("\nafter revocation the machine still runs: %d ticks handled\n", k.Metrics.Ticks)
+	fmt.Printf("\nafter revocation the machine still runs: %d ticks handled\n", ticks)
 	fmt.Println("\nkernel trace (lifecycle events):")
 	for _, e := range lifecycle {
 		fmt.Printf("  [%12d c%d] %-14v a=%d b=%d\n", e.Time, e.Core, e.Kind, e.Addr, e.Arg)

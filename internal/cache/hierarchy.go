@@ -331,14 +331,8 @@ func (h *Hierarchy) afterL1(core int, l1 *Cache, l1u trace.Unit, hit bool, ev Ev
 				h.fillEvent(core, trace.UnitL2, trace.PrefetchIssue, pa, evp)
 			}
 			h.llcCheck(evp, l2)
-			if evp.Valid && evp.Dirty && h.l3 != nil {
-				// A prefetch fill displacing a dirty line still has to
-				// write it back.
-				evw := h.l3.FillMasked(evp.Tag, evp.Tag, true, h.llcMask[core])
-				if h.sink != nil {
-					h.fillEvent(core, trace.UnitL3, trace.CacheWriteback, evp.Tag, evw)
-				}
-				h.llcCheck(evw, h.l3)
+			if evp.Valid && evp.Dirty {
+				h.writeBackL2Victim(core, evp)
 			}
 			if h.l3 != nil {
 				evp3 := h.l3.FillMasked(pa, pa, false, h.llcMask[core])
@@ -361,13 +355,7 @@ func (h *Hierarchy) afterL1(core int, l1 *Cache, l1u trace.Unit, hit bool, ev Ev
 			h.sink.Unit(trace.UnitL2).Writebacks++
 			h.sink.Unit(trace.UnitL2).WritebackCycles += uint64(h.cfg.WritebackLatency)
 		}
-		if h.l3 != nil {
-			evw := h.l3.FillMasked(ev2.Tag, ev2.Tag, true, h.llcMask[core])
-			if h.sink != nil {
-				h.fillEvent(core, trace.UnitL3, trace.CacheWriteback, ev2.Tag, evw)
-			}
-			h.llcCheck(evw, h.l3)
-		}
+		h.writeBackL2Victim(core, ev2)
 	}
 	if !hit2 && ifetch {
 		h.instructionPrefetch(core, paddr)
@@ -597,6 +585,9 @@ func (h *Hierarchy) instructionPrefetch(core int, paddr uint64) {
 			h.fillEvent(core, trace.UnitL2, trace.PrefetchIssue, next, evp)
 		}
 		h.llcCheck(evp, l2)
+		if evp.Valid && evp.Dirty {
+			h.writeBackL2Victim(core, evp)
+		}
 		if h.l3 != nil {
 			evp3 := h.l3.FillMasked(next, next, false, h.llcMask[core])
 			if h.sink != nil {
@@ -626,13 +617,25 @@ func (h *Hierarchy) fillLower(core int, lineTag uint64, dirty bool) {
 		h.fillEvent(core, trace.UnitL2, trace.CacheWriteback, lineTag, ev)
 	}
 	h.llcCheck(ev, l2)
-	if ev.Valid && ev.Dirty && h.l3 != nil {
-		evw := h.l3.FillMasked(ev.Tag, ev.Tag, true, h.llcMask[core])
-		if h.sink != nil {
-			h.fillEvent(core, trace.UnitL3, trace.CacheWriteback, ev.Tag, evw)
-		}
-		h.llcCheck(evw, h.l3)
+	if ev.Valid && ev.Dirty {
+		h.writeBackL2Victim(core, ev)
 	}
+}
+
+// writeBackL2Victim installs the dirty line ev an L2 fill displaced
+// into the L3, when there is one: every fill into the L2 — demand,
+// write-back or prefetch — that displaces a dirty line still has to
+// write it back. Callers test ev first, keeping the call off the
+// prefetch path's common clean case.
+func (h *Hierarchy) writeBackL2Victim(core int, ev Eviction) {
+	if h.l3 == nil {
+		return
+	}
+	evw := h.l3.FillMasked(ev.Tag, ev.Tag, true, h.llcMask[core])
+	if h.sink != nil {
+		h.fillEvent(core, trace.UnitL3, trace.CacheWriteback, ev.Tag, evw)
+	}
+	h.llcCheck(evw, h.l3)
 }
 
 // TLB lookup results, ordered by cost.

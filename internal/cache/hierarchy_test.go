@@ -176,3 +176,30 @@ func TestHierarchyPerCorePredictors(t *testing.T) {
 		t.Fatal("core 1's BTB should be independent of core 0's")
 	}
 }
+
+// An instruction prefetch that displaces a dirty L2 line must write it
+// back to the L3, as a demand or data-prefetch fill does; dropping it
+// would lose the only up-to-date copy.
+func TestInstructionPrefetchWritesBackDirtyVictim(t *testing.T) {
+	h := NewHierarchy(testHierCfg())
+	l2 := h.L2For(0)
+	const base = 0x200000
+	next := uint64(base + 2*64) // the line the prefetcher will pull in
+	stride := uint64(l2.Sets() * 64)
+	victim := next + 0x100000
+	for w := uint64(0); w < uint64(l2.Ways()); w++ {
+		l2.FillMasked(victim+w*stride, victim+w*stride, true, AllWays)
+	}
+	// Two consecutive instruction misses trigger the next-line prefetch.
+	h.Fetch(0, base, base)
+	h.Fetch(0, base+64, base+64)
+	if !l2.Contains(next, next) {
+		t.Fatal("the instruction prefetcher did not fill the next line")
+	}
+	if l2.Contains(victim, victim) {
+		t.Fatal("the prefetch fill did not displace the oldest dirty line")
+	}
+	if !h.LLC().Contains(victim, victim) || h.LLC().DirtyLines() != 1 {
+		t.Fatalf("dirty L2 victim not written back to the L3 (L3 dirty lines %d)", h.LLC().DirtyLines())
+	}
+}

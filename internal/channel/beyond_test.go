@@ -1,12 +1,10 @@
 package channel
 
 import (
-	"math/rand"
 	"testing"
 
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
-	"timeprotection/internal/mi"
 )
 
 // The channels in this file are the ones time protection CANNOT close —
@@ -93,28 +91,19 @@ func TestBusChannelNeedsASender(t *testing.T) {
 	// A mute sender: its symbol sequence advances but its behaviour is
 	// symbol-independent, so the receiver's measurements must carry no
 	// information about it.
-	mute := &busSender{lines: lines[:4], slotCycles: sys.Timeslice() / 4, rng: rand.New(rand.NewSource(1)), symbols: 4}
-	muteProg := kernel.ProgramFunc(func(e *kernel.Env) bool {
-		now := e.Now()
-		if !mute.started || now-mute.slotStart >= mute.slotCycles {
-			mute.started = true
-			mute.slotStart = now
-			mute.current = mute.rng.Intn(mute.symbols)
+	mute := newSlotSender(sys, 4, 1, 2000, func(*kernel.Env, int) {})
+	pos := 0
+	recv := newBurstReceiver(mute, 100, 64, 1500, func(e *kernel.Env) {
+		for i := 0; i < 48; i++ {
+			e.Load(lines[pos%len(lines)])
+			pos++
 		}
-		e.Spin(2000) // constant work regardless of symbol
-		return true
 	})
-	recv := &busReceiver{lines: lines, sender: mute, ds: &mi.Dataset{}, target: 100, warmup: 64}
-	if _, err := sys.Spawn(0, "mute", 10, muteProg); err != nil {
+	ds, err := runConcurrent(sys, "mute", []int{0, 1}, mute, recv)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Spawn(1, "recv", 10, recv); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000 && !recv.Done(); i++ {
-		sys.RunCoresFor([]int{0, 1}, sys.Timeslice())
-	}
-	r := analyze(t, recv.ds)
+	r := analyze(t, ds)
 	if r.Leak() {
 		t.Errorf("mute sender produced a leak: %v", r)
 	}

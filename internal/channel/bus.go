@@ -1,78 +1,11 @@
 package channel
 
 import (
-	"math/rand"
-
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/mi"
 )
-
-// busSender modulates its memory-bandwidth consumption: for each slot it
-// draws a symbol and issues a proportional number of DRAM accesses
-// (paper §2.2: "the sender encodes information into its bandwidth
-// consumption").
-type busSender struct {
-	lines      []uint64
-	slotCycles uint64
-	rng        *rand.Rand
-	symbols    int
-
-	current   int
-	slotStart uint64
-	started   bool
-	pos       int
-}
-
-func (s *busSender) Current() int { return s.current }
-
-func (s *busSender) Step(e *kernel.Env) bool {
-	now := e.Now()
-	if !s.started || now-s.slotStart >= s.slotCycles {
-		s.started = true
-		s.slotStart = now
-		s.current = s.rng.Intn(s.symbols)
-	}
-	// Intensity proportional to the symbol: 0..symbols-1 bursts of
-	// cache-defeating (streaming) accesses.
-	n := 16 * s.current
-	for i := 0; i < n; i++ {
-		e.Load(s.lines[s.pos%len(s.lines)])
-		s.pos++
-	}
-	e.Spin(2000)
-	return true
-}
-
-// busReceiver senses available bandwidth: it times a fixed burst of its
-// own DRAM accesses each step.
-type busReceiver struct {
-	lines  []uint64
-	sender *busSender
-	ds     *mi.Dataset
-	target int
-	pos    int
-	warmup int
-}
-
-func (r *busReceiver) Done() bool { return r.ds.N() >= r.target }
-
-func (r *busReceiver) Step(e *kernel.Env) bool {
-	t0 := e.Now()
-	for i := 0; i < 48; i++ {
-		e.Load(r.lines[r.pos%len(r.lines)])
-		r.pos++
-	}
-	elapsed := float64(e.Now() - t0)
-	if r.warmup > 0 {
-		r.warmup--
-	} else if !r.Done() {
-		r.ds.Add(r.sender.Current(), elapsed)
-	}
-	e.Spin(1500)
-	return true
-}
 
 // RunBusChannel runs the cross-core interconnect covert channel of
 // §2.2: sender and receiver execute *concurrently* on different cores
@@ -122,24 +55,25 @@ func RunBusChannel(s Spec, mba bool) (*mi.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	sender := &busSender{
-		lines:      sLines,
-		slotCycles: sys.Timeslice() / 4,
-		rng:        rand.New(rand.NewSource(s.Seed)),
-		symbols:    4,
-	}
+	// The sender modulates its memory-bandwidth consumption (paper §2.2:
+	// "the sender encodes information into its bandwidth consumption"):
+	// 0..3 bursts of 16 streaming accesses per step. The receiver senses
+	// the bandwidth left by timing a fixed burst of its own.
+	sPos, rPos := 0, 0
+	sender := newSlotSender(sys, 4, s.Seed, 2000, func(e *kernel.Env, sym int) {
+		for i := 0; i < 16*sym; i++ {
+			e.Load(sLines[sPos%len(sLines)])
+			sPos++
+		}
+	})
 	// The streaming receiver's caches drift toward steady state over many
 	// bursts; discard generously or the drift correlates with the
 	// sender's slot structure and inflates the estimate.
-	recv := &busReceiver{lines: rLines, sender: sender, ds: &mi.Dataset{}, target: s.Samples, warmup: 64}
-	if _, err := sys.Spawn(0, "bus-sender", 10, sender); err != nil {
-		return nil, err
-	}
-	if _, err := sys.Spawn(1, "bus-receiver", 10, recv); err != nil {
-		return nil, err
-	}
-	for i := 0; i < s.Samples*4+400 && !recv.Done(); i++ {
-		sys.RunCoresFor([]int{0, 1}, sys.Timeslice())
-	}
-	return recv.ds, nil
+	recv := newBurstReceiver(sender, s.Samples, 64, 1500, func(e *kernel.Env) {
+		for i := 0; i < 48; i++ {
+			e.Load(rLines[rPos%len(rLines)])
+			rPos++
+		}
+	})
+	return runConcurrent(sys, "bus", []int{0, 1}, sender, recv)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"timeprotection/internal/core"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/mi"
 	"timeprotection/internal/trace"
@@ -143,4 +144,85 @@ func (r *Receiver) Step(e *kernel.Env) bool {
 	}
 	r.phase.touch(e)
 	return true
+}
+
+// slotSender is the trojan of the concurrent channels (interconnect,
+// DRAM row buffers, hyperthread siblings). It shares no core with the
+// receiver, so there is no slice boundary to key on: it draws a fresh
+// symbol every quarter slice of its own clock, then repeats act and a
+// spin until preempted. act holds all of a channel's encoding.
+type slotSender struct {
+	symbols    int
+	slotCycles uint64
+	spin       int
+	act        func(e *kernel.Env, symbol int)
+	rng        *rand.Rand
+
+	current   int
+	slotStart uint64
+	started   bool
+}
+
+func newSlotSender(sys *core.System, symbols int, seed int64, spin int, act func(e *kernel.Env, symbol int)) *slotSender {
+	return &slotSender{symbols: symbols, slotCycles: sys.Timeslice() / 4, spin: spin, act: act, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Step implements kernel.Program.
+func (s *slotSender) Step(e *kernel.Env) bool {
+	now := e.Now()
+	if !s.started || now-s.slotStart >= s.slotCycles {
+		s.started = true
+		s.slotStart = now
+		s.current = s.rng.Intn(s.symbols)
+	}
+	s.act(e, s.current)
+	e.Spin(s.spin)
+	return true
+}
+
+// burstReceiver is the spy of the concurrent channels: each step it
+// times one burst of its own accesses and records the duration against
+// the symbol the sender is encoding at that moment, after discarding
+// warmup bursts while its caches reach a steady state.
+type burstReceiver struct {
+	burst  func(e *kernel.Env)
+	sender *slotSender
+	spin   int
+	ds     *mi.Dataset
+	target int
+	warmup int
+}
+
+func newBurstReceiver(sender *slotSender, target, warmup, spin int, burst func(e *kernel.Env)) *burstReceiver {
+	return &burstReceiver{burst: burst, sender: sender, spin: spin, ds: &mi.Dataset{}, target: target, warmup: warmup}
+}
+
+func (r *burstReceiver) Done() bool { return r.ds.N() >= r.target }
+
+// Step implements kernel.Program.
+func (r *burstReceiver) Step(e *kernel.Env) bool {
+	t0 := e.Now()
+	r.burst(e)
+	elapsed := float64(e.Now() - t0)
+	if r.warmup > 0 {
+		r.warmup--
+	} else if !r.Done() {
+		r.ds.Add(r.sender.current, elapsed)
+	}
+	e.Spin(r.spin)
+	return true
+}
+
+// runConcurrent spawns a concurrent channel's sender in domain 0 and
+// its receiver in domain 1 and co-schedules cores (sender's first) one
+// slice per chunk until the receiver has its samples or the
+// sample-proportional cap is reached; it reports what was observed.
+func runConcurrent(sys *core.System, name string, cores []int, sender *slotSender, recv *burstReceiver) (*mi.Dataset, error) {
+	if _, err := sys.Spawn(0, name+"-sender", 10, sender); err != nil {
+		return nil, err
+	}
+	if _, err := sys.Spawn(1, name+"-receiver", 10, recv); err != nil {
+		return nil, err
+	}
+	return newInteractive(sys, recv.ds, recv.Done, schedule{cores: cores, slices: 1}, concurrentChunkCap(recv.target), false, recv.target).Run()
 }

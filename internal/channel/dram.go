@@ -1,78 +1,11 @@
 package channel
 
 import (
-	"math/rand"
-
 	"timeprotection/internal/cache"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/mi"
 )
-
-// dramSender encodes bits in row-buffer locality, holding bandwidth
-// constant: symbol 0 re-reads lines within a single open row (row
-// friendly), symbol 1 alternates between two rows of the same banks
-// (closing them constantly). Only the row-buffer state differs between
-// symbols, isolating the DRAMA-style channel from bus contention.
-type dramSender struct {
-	rowA, rowB []uint64 // line addresses of two same-bank rows
-	slotCycles uint64
-	rng        *rand.Rand
-
-	current   int
-	slotStart uint64
-	started   bool
-	pos       int
-}
-
-func (s *dramSender) Current() int { return s.current }
-
-func (s *dramSender) Step(e *kernel.Env) bool {
-	now := e.Now()
-	if !s.started || now-s.slotStart >= s.slotCycles {
-		s.started = true
-		s.slotStart = now
-		s.current = s.rng.Intn(2)
-	}
-	for i := 0; i < 16; i++ {
-		if s.current == 1 && i%2 == 1 {
-			e.Load(s.rowB[s.pos%len(s.rowB)])
-		} else {
-			e.Load(s.rowA[s.pos%len(s.rowA)])
-		}
-		s.pos++
-	}
-	e.Spin(1500)
-	return true
-}
-
-// dramReceiver times bursts over rows that share banks with the sender.
-type dramReceiver struct {
-	lines  []uint64
-	sender *dramSender
-	ds     *mi.Dataset
-	target int
-	pos    int
-	warmup int
-}
-
-func (r *dramReceiver) Done() bool { return r.ds.N() >= r.target }
-
-func (r *dramReceiver) Step(e *kernel.Env) bool {
-	t0 := e.Now()
-	for i := 0; i < 24; i++ {
-		e.Load(r.lines[r.pos%len(r.lines)])
-		r.pos++
-	}
-	elapsed := float64(e.Now() - t0)
-	if r.warmup > 0 {
-		r.warmup--
-	} else if !r.Done() {
-		r.ds.Add(r.sender.Current(), elapsed)
-	}
-	e.Spin(1200)
-	return true
-}
 
 // RunDRAMChannel runs the DRAM row-buffer covert channel: sender and
 // receiver on different cores and (under the protected scenario) with
@@ -129,24 +62,32 @@ func RunDRAMChannel(s Spec) (*mi.Dataset, error) {
 	}
 	rLines := pick(rBuf, 320)
 
-	sender := &dramSender{
-		rowA: rowA, rowB: rowB,
-		slotCycles: sys.Timeslice() / 4,
-		rng:        rand.New(rand.NewSource(s.Seed)),
-	}
+	// The sender encodes bits in row-buffer locality, holding bandwidth
+	// constant: symbol 0 re-reads lines within a single open row (row
+	// friendly), symbol 1 alternates between two rows of the same banks
+	// (closing them constantly). Only the row-buffer state differs
+	// between symbols, isolating the DRAMA-style channel from bus
+	// contention. The receiver times bursts over rows sharing those banks.
+	sPos, rPos := 0, 0
+	sender := newSlotSender(sys, 2, s.Seed, 1500, func(e *kernel.Env, sym int) {
+		for i := 0; i < 16; i++ {
+			if sym == 1 && i%2 == 1 {
+				e.Load(rowB[sPos%len(rowB)])
+			} else {
+				e.Load(rowA[sPos%len(rowA)])
+			}
+			sPos++
+		}
+	})
 	// The receiver's big streaming buffer takes many bursts to reach a
 	// cache steady state; discard generously.
-	recv := &dramReceiver{lines: rLines, sender: sender, ds: &mi.Dataset{}, target: s.Samples, warmup: 64}
-	if _, err := sys.Spawn(0, "dram-sender", 10, sender); err != nil {
-		return nil, err
-	}
-	if _, err := sys.Spawn(1, "dram-receiver", 10, recv); err != nil {
-		return nil, err
-	}
-	for i := 0; i < s.Samples*4+400 && !recv.Done(); i++ {
-		sys.RunCoresFor([]int{0, 1}, sys.Timeslice())
-	}
-	return recv.ds, nil
+	recv := newBurstReceiver(sender, s.Samples, 64, 1200, func(e *kernel.Env) {
+		for i := 0; i < 24; i++ {
+			e.Load(rLines[rPos%len(rLines)])
+			rPos++
+		}
+	})
+	return runConcurrent(sys, "dram", []int{0, 1}, sender, recv)
 }
 
 // dramBank exposes the bank function for calibration.

@@ -154,10 +154,7 @@ func runFlushChannel(s Spec) (*FlushChannelResult, error) {
 	if _, err := sys.Spawn(1, "observer", 10, obs); err != nil {
 		return nil, err
 	}
-	chunk := sys.Timeslice() * 8
-	for i := 0; i < s.Samples*2+400 && !obs.Done(); i++ {
-		sys.RunCoreFor(0, chunk)
-	}
+	newInteractive(sys, obs.Online, obs.Done, timeShared, gapChunkCap(s.Samples), false, s.Samples).run(nil, nil)
 	return &FlushChannelResult{Online: obs.Online, Offline: obs.Offline}, nil
 }
 
@@ -219,5 +216,5 @@ func PrepareInterruptChannel(s Spec, partition bool) (*Interactive, error) {
 		return nil, err
 	}
 	done := func() bool { return obs.FirstOnline.N() >= s.Samples }
-	return newInteractive(sys, obs.FirstOnline, done, InterruptChunkCap(s.Samples), false, s.Samples), nil
+	return newInteractive(sys, obs.FirstOnline, done, timeShared, gapChunkCap(s.Samples), false, s.Samples), nil
 }

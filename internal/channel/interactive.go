@@ -12,9 +12,10 @@ import (
 // booted (snapshot-forked), sender and receiver are spawned, and each
 // StepSamples call drives the simulation in the same fixed chunks the
 // one-shot Run* entry points use. Every entry point shares one chunk
-// loop that re-checks completion between chunks, so stepping in any
-// increments replays the identical sequence of RunCoreFor calls — a
-// session stepped to completion produces byte-identical samples to the
+// loop that co-schedules the attack's cores for one chunk at a time
+// (RunCoresFor) and re-checks completion between chunks, so stepping in
+// any increments replays the identical sequence of chunks — a session
+// stepped to completion produces byte-identical samples to the
 // equivalent one-shot run. The chunk count is therefore an exact
 // position: a fresh attack advanced to the same count is in the same
 // state. The session API is built on this type; pkg/timeprot
@@ -25,29 +26,46 @@ type Interactive struct {
 	sys      *core.System
 	ds       *mi.Dataset
 	done     func() bool
+	cores    []int
 	chunk    uint64
 	iters    int
 	maxIters int
 	// starve selects the intra-core/kernel contract (an explicit
-	// receiver-starved error at the iteration cap); the interrupt
-	// channel caps iterations silently and reports what it observed.
+	// receiver-starved error at the iteration cap); the other channels
+	// cap iterations silently and report what they observed.
 	starve bool
 	target int
 }
 
-// ReceiverChunkCap is the chunk-iteration cap of the receiver-driven
+// receiverChunkCap is the chunk-iteration cap of the receiver-driven
 // channels (intra-core and kernel); reaching it without the samples is
 // the starvation error.
-const ReceiverChunkCap = 100000
+const receiverChunkCap = 100000
 
-// InterruptChunkCap is the interrupt channel's chunk-iteration cap for
-// a sample target: the one-shot loop's sample-proportional bound.
-func InterruptChunkCap(samples int) int { return samples*2 + 400 }
+// gapChunkCap is the chunk-iteration cap of the gap-observer channels
+// (interrupt and flush) for a sample target: a sample-proportional
+// bound.
+func gapChunkCap(samples int) int { return samples*2 + 400 }
 
-func newInteractive(sys *core.System, ds *mi.Dataset, done func() bool, maxIters int, starve bool, target int) *Interactive {
+// concurrentChunkCap is the concurrent channels' chunk-iteration cap:
+// their chunks are one slice, not eight.
+func concurrentChunkCap(samples int) int { return samples*4 + 400 }
+
+// schedule is how an attack's parties share the machine: the cores
+// co-scheduled in each chunk and the chunk length in timeslices.
+type schedule struct {
+	cores  []int
+	slices uint64
+}
+
+// timeShared is the time-shared channels' schedule: both domains take
+// turns on core 0, eight slices per chunk.
+var timeShared = schedule{cores: []int{0}, slices: 8}
+
+func newInteractive(sys *core.System, ds *mi.Dataset, done func() bool, sched schedule, maxIters int, starve bool, target int) *Interactive {
 	return &Interactive{
-		sys: sys, ds: ds, done: done,
-		chunk: sys.Timeslice() * 8, maxIters: maxIters, starve: starve, target: target,
+		sys: sys, ds: ds, done: done, cores: sched.cores,
+		chunk: sched.slices * sys.Timeslice(), maxIters: maxIters, starve: starve, target: target,
 	}
 }
 
@@ -79,7 +97,7 @@ func (x *Interactive) run(more, stop func() bool) {
 		if stop != nil && stop() {
 			return
 		}
-		x.sys.RunCoreFor(0, x.chunk)
+		x.sys.RunCoresFor(x.cores, x.chunk)
 		x.iters++
 	}
 }
@@ -118,4 +136,55 @@ func (x *Interactive) Run() (*mi.Dataset, error) {
 		return nil, x.starved()
 	}
 	return x.ds, nil
+}
+
+// Steppable is one entry of the steppable-channel catalogue: a channel
+// an Interactive can drive, under the name sessions and tpattack use.
+type Steppable struct {
+	Name string
+	// Prepare builds the attack ready to be stepped; partition applies
+	// to the interrupt channel only.
+	Prepare func(s Spec, partition bool) (*Interactive, error)
+	// ChunkCap is the most chunks an attack with the given sample target
+	// can ever run.
+	ChunkCap func(samples int) int
+}
+
+// steppable is the catalogue, in its documented order.
+var steppable = []Steppable{
+	intraSteppable("l1d", L1D), intraSteppable("l1i", L1I), intraSteppable("l2", L2),
+	intraSteppable("tlb", TLB), intraSteppable("btb", BTB), intraSteppable("bhb", BHB),
+	{
+		Name:     "kernel",
+		Prepare:  func(s Spec, _ bool) (*Interactive, error) { return PrepareKernelChannel(s) },
+		ChunkCap: func(int) int { return receiverChunkCap },
+	},
+	{Name: "interrupt", Prepare: PrepareInterruptChannel, ChunkCap: gapChunkCap},
+}
+
+func intraSteppable(name string, res Resource) Steppable {
+	return Steppable{
+		Name:     name,
+		Prepare:  func(s Spec, _ bool) (*Interactive, error) { return PrepareIntraCore(s, res) },
+		ChunkCap: func(int) int { return receiverChunkCap },
+	}
+}
+
+// SteppableChannels lists every steppable channel name.
+func SteppableChannels() []string {
+	names := make([]string, len(steppable))
+	for i, c := range steppable {
+		names[i] = c.Name
+	}
+	return names
+}
+
+// LookupSteppable returns the catalogue entry for a channel name.
+func LookupSteppable(name string) (Steppable, bool) {
+	for _, c := range steppable {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Steppable{}, false
 }

@@ -265,7 +265,7 @@ func PrepareIntraCore(s Spec, res Resource) (*Interactive, error) {
 	if _, err := sys.Spawn(1, "receiver", 10, recv); err != nil {
 		return nil, err
 	}
-	return newInteractive(sys, recv.Dataset(), recv.Done, ReceiverChunkCap, true, s.Samples), nil
+	return newInteractive(sys, recv.Dataset(), recv.Done, timeShared, receiverChunkCap, true, s.Samples), nil
 }
 
 // intraCoreLines maps the sender's (domain 0) and receiver's (domain 1)
@@ -424,5 +424,5 @@ func PrepareKernelChannel(s Spec) (*Interactive, error) {
 	if _, err := sys.Spawn(1, "receiver", 10, recv); err != nil {
 		return nil, err
 	}
-	return newInteractive(sys, recv.Dataset(), recv.Done, ReceiverChunkCap, true, s.Samples), nil
+	return newInteractive(sys, recv.Dataset(), recv.Done, timeShared, receiverChunkCap, true, s.Samples), nil
 }

@@ -1,70 +1,10 @@
 package channel
 
 import (
-	"math/rand"
-
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
 	"timeprotection/internal/mi"
 )
-
-// smtSender modulates its L1-D footprint from one hyperthread while the
-// receiver probes concurrently from the sibling. Because the two
-// logical cores never domain-switch against each other, there is no
-// point at which the kernel could flush between them — the sharing is
-// concurrent, like a shared cache (paper §2.2 category 1, and the reason
-// §3.1.2 demands hyperthreading be disabled or same-domain).
-type smtSender struct {
-	lines      []uint64
-	slotCycles uint64
-	rng        *rand.Rand
-	symbols    int
-
-	current   int
-	slotStart uint64
-	started   bool
-}
-
-func (s *smtSender) Current() int { return s.current }
-
-func (s *smtSender) Step(e *kernel.Env) bool {
-	now := e.Now()
-	if !s.started || now-s.slotStart >= s.slotCycles {
-		s.started = true
-		s.slotStart = now
-		s.current = s.rng.Intn(s.symbols)
-	}
-	n := len(s.lines) * s.current / (s.symbols - 1)
-	for _, v := range s.lines[:n] {
-		e.Load(v)
-	}
-	e.Spin(500)
-	return true
-}
-
-// smtReceiver probes its own L1-D-covering buffer and times each pass.
-type smtReceiver struct {
-	lines  []uint64
-	sender *smtSender
-	ds     *mi.Dataset
-	target int
-	warmup int
-}
-
-func (r *smtReceiver) Done() bool { return r.ds.N() >= r.target }
-
-func (r *smtReceiver) Step(e *kernel.Env) bool {
-	t0 := e.Now()
-	Probe(e, r.lines)
-	elapsed := float64(e.Now() - t0)
-	if r.warmup > 0 {
-		r.warmup--
-	} else if !r.Done() {
-		r.ds.Add(r.sender.Current(), elapsed)
-	}
-	e.Spin(500)
-	return true
-}
 
 // RunSMTChannel runs an L1-D covert channel between two hyperthreads of
 // one physical core. The spec's platform must be SMT-capable (e.g.
@@ -89,23 +29,21 @@ func RunSMTChannel(s Spec) (*mi.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	sender := &smtSender{
-		lines:      sbuf.AllLines(),
-		slotCycles: sys.Timeslice() / 4,
-		rng:        rand.New(rand.NewSource(s.Seed)),
-		symbols:    4,
-	}
-	recv := &smtReceiver{lines: rbuf.AllLines(), sender: sender, ds: &mi.Dataset{}, target: s.Samples, warmup: receiverWarmup}
-	if _, err := sys.Spawn(0, "smt-sender", 10, sender); err != nil {
-		return nil, err
-	}
-	if _, err := sys.Spawn(1, "smt-receiver", 10, recv); err != nil {
-		return nil, err
-	}
-	// The harness steps logical core 0 first so the sender lands there
-	// and the receiver on the sibling.
-	for i := 0; i < s.Samples*4+400 && !recv.Done(); i++ {
-		sys.RunCoresFor([]int{0, sibling}, sys.Timeslice())
-	}
-	return recv.ds, nil
+	// The sender modulates its L1-D footprint from one hyperthread while
+	// the receiver probes its own L1-D-covering buffer concurrently from
+	// the sibling. The two logical cores never domain-switch against each
+	// other, so there is no point at which the kernel could flush between
+	// them — the sharing is concurrent, like a shared cache (paper §2.2
+	// category 1, and the reason §3.1.2 demands hyperthreading be
+	// disabled or same-domain).
+	sLines, rLines := sbuf.AllLines(), rbuf.AllLines()
+	sender := newSlotSender(sys, 4, s.Seed, 500, func(e *kernel.Env, sym int) {
+		for _, v := range sLines[:len(sLines)*sym/3] {
+			e.Load(v)
+		}
+	})
+	recv := newBurstReceiver(sender, s.Samples, receiverWarmup, 500, func(e *kernel.Env) { Probe(e, rLines) })
+	// Logical core 0 is stepped first so the sender lands there and the
+	// receiver on the sibling.
+	return runConcurrent(sys, "smt", []int{0, sibling}, sender, recv)
 }

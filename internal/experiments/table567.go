@@ -149,6 +149,29 @@ func table6Cell(plat hw.Platform, sc kernel.Scenario, wsBytes int, exec bool, tr
 	if err != nil {
 		return 0, err
 	}
+	// The switch cost is the kernel's own measurement, carried by its
+	// DomainSwitchEnd events. Unless tr already retains events, a private
+	// sink observes the kernel alone (the hierarchy keeps tr, so no
+	// access pays for an event) and hands its counters to tr afterwards.
+	obs := tr
+	if !tr.EventsEnabled() {
+		obs = trace.NewSink(1)
+		sys.K.Tracer = obs
+		defer tr.Merge(obs)
+	}
+	var switches int
+	var switchCycles uint64
+	prev := obs.OnEvent
+	defer func() { obs.OnEvent = prev }()
+	obs.OnEvent = func(e trace.Event) {
+		if prev != nil {
+			prev(e)
+		}
+		if e.Kind == trace.DomainSwitchEnd {
+			switches++
+			switchCycles = e.Addr
+		}
+	}
 	pages := (wsBytes + memory.PageSize - 1) / memory.PageSize
 	recv := &table6Receiver{base: 0x1000_0000, exec: exec}
 	if pages > 0 {
@@ -170,19 +193,18 @@ func table6Cell(plat hw.Platform, sc kernel.Scenario, wsBytes int, exec bool, tr
 	// left (current domain is now the idle one).
 	var sum float64
 	var n int
-	last := uint64(0)
+	last := 0
 	for i := 0; i < 64; i++ {
 		sys.RunCoreFor(0, sys.Timeslice())
-		m := sys.K.Metrics
-		if m.DomainSwitches == last {
+		if switches == last {
 			continue
 		}
-		last = m.DomainSwitches
+		last = switches
 		if i < 8 { // warm-up
 			continue
 		}
 		if t := sys.K.CurrentThread(0); t != nil && t.Domain == 1 {
-			sum += plat.CyclesToMicros(m.LastDomainSwitchCycles)
+			sum += plat.CyclesToMicros(switchCycles)
 			n++
 		}
 	}

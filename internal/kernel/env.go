@@ -292,12 +292,10 @@ func (e *Env) KernelClone(srcSlot, memSlot int) (int, error) {
 		return 0, err
 	}
 	e.k.syscallEnter(e.core, t, srcSlot, sysTextClone, sysTextCloneLen)
-	start := e.Now()
 	img, err := e.k.Clone(e.core, src.Obj.(*Image), mem.Obj.(*KernelMemory))
 	if err != nil {
 		return 0, err
 	}
-	e.k.Metrics.LastCloneCycles = e.Now() - start
 	e.k.syscallExit(e.core)
 	slot := t.Proc.CSpace.Install(Capability{Type: CapKernelImage, Rights: RightRead | RightWrite | RightClone, Obj: img})
 	return slot, nil
@@ -310,11 +308,9 @@ func (e *Env) KernelDestroy(slot int) error {
 	if err != nil {
 		return err
 	}
-	start := e.Now()
 	if err := e.k.DestroyImage(e.core, c.Obj.(*Image)); err != nil {
 		return err
 	}
-	e.k.Metrics.LastDestroyCycles = e.Now() - start
 	t.Proc.CSpace.Delete(slot)
 	return nil
 }

@@ -210,8 +210,6 @@ func (k *Kernel) newBootImage() (*Image, error) {
 // through Env.KernelClone get that check, this entry point is the
 // post-validation implementation.
 func (k *Kernel) Clone(core int, src *Image, mem *KernelMemory) (*Image, error) {
-	cloneStart := k.M.Cores[core].Now
-	defer func() { k.Metrics.LastCloneCycles = k.M.Cores[core].Now - cloneStart }()
 	if src.zombie {
 		return nil, ErrRevoked
 	}
@@ -300,8 +298,6 @@ func (k *Kernel) RevokeImage(core int, img *Image) error {
 // image's threads are suspended. Destroying the boot image is refused:
 // its memory was never given to userland.
 func (k *Kernel) DestroyImage(core int, img *Image) error {
-	destroyStart := k.M.Cores[core].Now
-	defer func() { k.Metrics.LastDestroyCycles = k.M.Cores[core].Now - destroyStart }()
 	if img == k.Images[0] {
 		return fmt.Errorf("kernel: the initial kernel image is indestructible")
 	}

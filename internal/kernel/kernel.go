@@ -39,6 +39,20 @@ func (s Scenario) String() string {
 	return fmt.Sprintf("Scenario(%d)", int(s))
 }
 
+// ParseScenario resolves the name a scenario goes by on command lines
+// and in the session API: raw, fullflush or protected.
+func ParseScenario(name string) (Scenario, bool) {
+	switch name {
+	case "raw":
+		return ScenarioRaw, true
+	case "fullflush":
+		return ScenarioFullFlush, true
+	case "protected":
+		return ScenarioProtected, true
+	}
+	return 0, false
+}
+
 // Config is the kernel build/boot configuration.
 type Config struct {
 	Scenario Scenario
@@ -68,25 +82,6 @@ type Config struct {
 	// extremely constrained scenarios (it breaks every legitimate use of
 	// fine-grained time too). Zero means a precise clock.
 	FuzzyClockGrain uint64
-}
-
-// Metrics counts kernel events and records switch latencies.
-type Metrics struct {
-	Ticks          uint64
-	Syscalls       uint64
-	DomainSwitches uint64
-	KernelSwitches uint64 // stack switches between images
-	IRQsHandled    uint64
-	IRQsDeferred   uint64
-	// LastDomainSwitchCycles is the most recent domain-switch cost from
-	// mask to prefetch completion, excluding padding (Table 6).
-	LastDomainSwitchCycles uint64
-	// LastDomainSwitchPadded includes the padding spin (Table 4 context).
-	LastDomainSwitchPadded uint64
-	// LastCloneCycles / LastDestroyCycles record image lifecycle costs
-	// (Table 7).
-	LastCloneCycles   uint64
-	LastDestroyCycles uint64
 }
 
 type coreState struct {
@@ -122,11 +117,10 @@ type Kernel struct {
 
 	// Tracer is the machine-wide observability sink (nil = disabled);
 	// attach it with AttachTracer so the hierarchy and clock are wired
-	// up too. Recording consumes no simulated time and is never part of
-	// the encoded state.
+	// up too; a sink set here alone observes the kernel's own events and
+	// counters, without timestamps. Recording consumes no simulated time
+	// and is never part of the encoded state.
 	Tracer *trace.Sink
-
-	Metrics Metrics
 }
 
 // AttachTracer wires the observability sink through the kernel and its

@@ -5,9 +5,32 @@ import (
 
 	"timeprotection/internal/hw"
 	"timeprotection/internal/memory"
+	"timeprotection/internal/trace"
 )
 
 const testSlice = 20000
+
+// kernelEvents counts the kernel events emitted since watchKernel by
+// kind, and keeps the latest of each kind.
+type kernelEvents struct {
+	n    map[trace.Kind]int
+	last map[trace.Kind]trace.Event
+}
+
+// watchKernel attaches an event sink to k and returns the tally it
+// feeds; tests read the kernel's activity from it.
+func watchKernel(k *Kernel) *kernelEvents {
+	ev := &kernelEvents{n: map[trace.Kind]int{}, last: map[trace.Kind]trace.Event{}}
+	sink := trace.NewSink(1)
+	sink.OnEvent = func(e trace.Event) {
+		if e.Unit == trace.UnitKernel {
+			ev.n[e.Kind]++
+			ev.last[e.Kind] = e
+		}
+	}
+	k.AttachTracer(sink)
+	return ev
+}
 
 func bootKernel(t *testing.T, plat hw.Platform, sc Scenario) *Kernel {
 	t.Helper()
@@ -152,6 +175,7 @@ func TestPreemptionRoundRobin(t *testing.T) {
 	b := &counter{base: 0x400000}
 	mustThread(t, k, procs[0], "a", 10, 0, a)
 	mustThread(t, k, procs[1], "b", 10, 1, b)
+	ev := watchKernel(k)
 	runFor(k, 0, 40*testSlice)
 	if a.steps == 0 || b.steps == 0 {
 		t.Fatalf("both threads must run: a=%d b=%d", a.steps, b.steps)
@@ -160,7 +184,7 @@ func TestPreemptionRoundRobin(t *testing.T) {
 	if ratio < 0.5 || ratio > 2.0 {
 		t.Errorf("unfair round-robin: a=%d b=%d", a.steps, b.steps)
 	}
-	if k.Metrics.Ticks == 0 {
+	if ev.n[trace.KernelTick] == 0 {
 		t.Error("no preemption ticks recorded")
 	}
 }
@@ -204,11 +228,12 @@ func TestSignalPollSemantics(t *testing.T) {
 		return false
 	})
 	mustThread(t, k, procs[0], "sig", 10, 0, prog)
+	ev := watchKernel(k)
 	runFor(k, 0, 10*testSlice)
 	if len(polled) != 2 || polled[0] != 2 || polled[1] != 0 {
 		t.Fatalf("polled = %v, want [2 0]", polled)
 	}
-	if k.Metrics.Syscalls == 0 {
+	if ev.n[trace.KernelSyscall] == 0 {
 		t.Error("syscalls not counted")
 	}
 }
@@ -354,8 +379,11 @@ func TestKernelCloneViaEnvAndCost(t *testing.T) {
 	}
 	var newSlot int
 	var cloneErr error
+	var cloneCycles uint64
 	mustThread(t, k, procs[0], "cl", 10, 0, ProgramFunc(func(e *Env) bool {
+		start := e.Now()
 		newSlot, cloneErr = e.KernelClone(srcSlot, kmSlot)
+		cloneCycles = e.Now() - start
 		return false
 	}))
 	runFor(k, 0, 400*testSlice)
@@ -365,10 +393,10 @@ func TestKernelCloneViaEnvAndCost(t *testing.T) {
 	if _, err := procs[0].CSpace.Lookup(newSlot, CapKernelImage, RightClone); err != nil {
 		t.Fatalf("new image cap invalid: %v", err)
 	}
-	if k.Metrics.LastCloneCycles == 0 {
-		t.Fatal("clone cost not recorded")
+	if cloneCycles == 0 {
+		t.Fatal("clone took no time")
 	}
-	us := k.M.Plat.CyclesToMicros(k.Metrics.LastCloneCycles)
+	us := k.M.Plat.CyclesToMicros(cloneCycles)
 	if us < 5 || us > 500 {
 		t.Errorf("clone cost %.1f us implausible (paper: 79 us)", us)
 	}
@@ -408,8 +436,9 @@ func TestDomainSwitchFlushesOnCoreState(t *testing.T) {
 	b := &counter{base: 0x400000}
 	mustThread(t, k, procs[0], "a", 10, 0, a)
 	mustThread(t, k, procs[1], "b", 10, 1, b)
+	ev := watchKernel(k)
 	runFor(k, 0, 3*testSlice)
-	if k.Metrics.DomainSwitches == 0 {
+	if ev.n[trace.DomainSwitchBegin] == 0 {
 		t.Fatal("no domain switches")
 	}
 	// Immediately after a switch the TLB holds only entries installed
@@ -425,8 +454,9 @@ func TestRawScenarioDoesNotFlush(t *testing.T) {
 	b := &counter{base: 0x400000}
 	mustThread(t, k, procs[0], "a", 10, 0, a)
 	mustThread(t, k, procs[1], "b", 10, 1, b)
+	ev := watchKernel(k)
 	runFor(k, 0, 6*testSlice)
-	if k.Metrics.DomainSwitches == 0 {
+	if ev.n[trace.DomainSwitchBegin] == 0 {
 		t.Fatal("no domain switches")
 	}
 	if k.M.Hier.L1D(0).ValidLines() == 0 {
@@ -440,8 +470,9 @@ func TestFullFlushEmptiesHierarchy(t *testing.T) {
 	mustThread(t, k, procs[1], "b", 10, 1, &counter{base: 0x400000})
 	// Run until at least one domain switch has happened, then check at
 	// the switch boundary by running exactly to the next tick.
+	ev := watchKernel(k)
 	runFor(k, 0, testSlice+3000)
-	if k.Metrics.DomainSwitches == 0 {
+	if ev.n[trace.DomainSwitchBegin] == 0 {
 		t.Fatal("no domain switch at first tick")
 	}
 	// After a full flush the LLC retains only lines touched since the
@@ -459,15 +490,23 @@ func TestPaddingExtendsSwitch(t *testing.T) {
 	}
 	mustThread(t, k, procs[0], "a", 10, 0, &counter{base: 0x400000})
 	mustThread(t, k, procs[1], "b", 10, 1, &counter{base: 0x400000})
+	ev := watchKernel(k)
 	runFor(k, 0, 10*testSlice)
-	if k.Metrics.DomainSwitches == 0 {
+	if ev.n[trace.DomainSwitchEnd] == 0 {
 		t.Fatal("no domain switches")
 	}
-	if k.Metrics.LastDomainSwitchPadded < pad/2 {
-		t.Errorf("padded switch %d cycles, pad configured %d", k.Metrics.LastDomainSwitchPadded, pad)
+	// DomainSwitchEnd carries the switch cost without padding (Addr); the
+	// Pad event just before it carries the cycles padding added (Addr).
+	// Every switch must be padded, so the last of each belong together.
+	if ev.n[trace.Pad] != ev.n[trace.DomainSwitchEnd] {
+		t.Fatalf("%d padded switches of %d", ev.n[trace.Pad], ev.n[trace.DomainSwitchEnd])
 	}
-	if k.Metrics.LastDomainSwitchCycles >= k.Metrics.LastDomainSwitchPadded {
+	end, padded := ev.last[trace.DomainSwitchEnd], ev.last[trace.Pad]
+	if padded.Addr == 0 {
 		t.Error("padding did not extend the switch")
+	}
+	if end.Addr+padded.Addr < pad/2 {
+		t.Errorf("padded switch %d cycles, pad configured %d", end.Addr+padded.Addr, pad)
 	}
 }
 
@@ -479,6 +518,7 @@ func TestIRQPartitioningMasksForeignLines(t *testing.T) {
 	mustThread(t, k, procs[0], "a", 10, 0, &counter{base: 0x400000})
 	mustThread(t, k, procs[1], "b", 10, 1, &counter{base: 0x400000})
 	// After the first domain switch the mask must track the current image.
+	ev := watchKernel(k)
 	for i := 0; i < 6; i++ {
 		runFor(k, 0, testSlice)
 		cur := k.CurrentImage(0)
@@ -486,7 +526,7 @@ func TestIRQPartitioningMasksForeignLines(t *testing.T) {
 		if cur == procs[1].Image && masked {
 			t.Fatalf("slice %d: line 9 masked while its own domain runs", i)
 		}
-		if cur == procs[0].Image && !masked && k.Metrics.DomainSwitches > 0 {
+		if cur == procs[0].Image && !masked && ev.n[trace.DomainSwitchBegin] > 0 {
 			t.Fatalf("slice %d: foreign line 9 unmasked in domain 0", i)
 		}
 	}
@@ -508,18 +548,18 @@ func TestDeferredIRQDeliveredInOwnDomain(t *testing.T) {
 	if k.CurrentImage(0) != procs[0].Image {
 		t.Fatal("domain 0 never scheduled")
 	}
+	ev := watchKernel(k)
 	k.M.IRQ.Raise(9)
-	before := k.Metrics.IRQsHandled
 	// While domain 0 remains current the IRQ must stay masked.
 	runFor(k, 0, 2000)
-	if k.CurrentImage(0) == procs[0].Image && k.Metrics.IRQsHandled != before {
+	if k.CurrentImage(0) == procs[0].Image && ev.n[trace.KernelIRQ] != 0 {
 		t.Fatal("partitioned IRQ handled in a foreign domain")
 	}
 	// Once its own domain runs the IRQ is delivered.
-	for i := 0; i < 20 && k.Metrics.IRQsHandled == before; i++ {
+	for i := 0; i < 20 && ev.n[trace.KernelIRQ] == 0; i++ {
 		runFor(k, 0, testSlice/2)
 	}
-	if k.Metrics.IRQsHandled == before {
+	if ev.n[trace.KernelIRQ] == 0 {
 		t.Fatal("partitioned IRQ never delivered")
 	}
 	if n.Word == 0 {

@@ -137,14 +137,6 @@ func (k *Kernel) EncodeState(w *enc.Writer) error {
 	w.U64(uint64(k.nextASID))
 	w.Bool(k.latchedSchedule != nil)
 	w.Ints(k.latchedSchedule)
-	mt := &k.Metrics
-	for _, v := range [...]uint64{
-		mt.Ticks, mt.Syscalls, mt.DomainSwitches, mt.KernelSwitches,
-		mt.IRQsHandled, mt.IRQsDeferred, mt.LastDomainSwitchCycles,
-		mt.LastDomainSwitchPadded, mt.LastCloneCycles, mt.LastDestroyCycles,
-	} {
-		w.U64(v)
-	}
 	w.Int(len(k.Images))
 	for _, img := range k.Images {
 		img.encodeState(w)
@@ -194,14 +186,6 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 	k.latchedSchedule = r.Ints()
 	if hasLatched && k.latchedSchedule == nil {
 		k.latchedSchedule = []int{}
-	}
-	for _, p := range [...]*uint64{
-		&k.Metrics.Ticks, &k.Metrics.Syscalls, &k.Metrics.DomainSwitches,
-		&k.Metrics.KernelSwitches, &k.Metrics.IRQsHandled, &k.Metrics.IRQsDeferred,
-		&k.Metrics.LastDomainSwitchCycles, &k.Metrics.LastDomainSwitchPadded,
-		&k.Metrics.LastCloneCycles, &k.Metrics.LastDestroyCycles,
-	} {
-		*p = r.U64()
 	}
 	nImages := r.Int()
 	if err := r.Err(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"timeprotection/internal/hw"
+	"timeprotection/internal/trace"
 )
 
 func TestSuspendResume(t *testing.T) {
@@ -90,16 +91,17 @@ func TestIRQAckProtocol(t *testing.T) {
 	k.BindIRQNotification(7, n)
 	mustThread(t, k, procs[0], "t", 10, 0, &counter{base: 0x400000})
 
+	ev := watchKernel(k)
 	k.M.IRQ.Raise(7)
 	runFor(k, 0, testSlice)
-	first := k.Metrics.IRQsHandled
+	first := ev.n[trace.KernelIRQ]
 	if first == 0 {
 		t.Fatal("IRQ not delivered")
 	}
 	// Storm without ack: no further deliveries.
 	k.M.IRQ.Raise(7)
 	runFor(k, 0, testSlice)
-	if k.Metrics.IRQsHandled != first {
+	if ev.n[trace.KernelIRQ] != first {
 		t.Fatal("unacknowledged line delivered again")
 	}
 	// Ack from a user thread re-arms the line; the pending raise lands.
@@ -115,7 +117,7 @@ func TestIRQAckProtocol(t *testing.T) {
 		return true
 	}))
 	runFor(k, 0, 2*testSlice)
-	if k.Metrics.IRQsHandled <= first {
+	if ev.n[trace.KernelIRQ] <= first {
 		t.Fatal("acknowledged line did not deliver the pending interrupt")
 	}
 }

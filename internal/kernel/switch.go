@@ -124,7 +124,6 @@ func (k *Kernel) nextDeviceFire() (uint64, bool) {
 func (k *Kernel) dispatch(core int, t *TCB) {
 	cs := k.cores[core]
 	if t.Image != cs.curImage {
-		k.Metrics.KernelSwitches++
 		k.emit(core, trace.KernelSwitch, uint64(cs.curImage.ID), uint64(t.Image.ID))
 		if k.Cfg.Scenario == ScenarioProtected {
 			k.maskInterrupts(core)
@@ -161,7 +160,6 @@ func (k *Kernel) tick(core int) {
 	// previous domain was executing, and padding must hide that too
 	// (the paper's worst-case-handling-time provision, §4.3).
 	cs.tickStart = cs.nextTick
-	k.Metrics.Ticks++
 	k.emit(core, trace.KernelTick, uint64(cs.curDomain), 0)
 
 	// Step 1: acquire the kernel lock.
@@ -181,7 +179,6 @@ func (k *Kernel) tick(core int) {
 	domainSwitch := next != nil && next.Domain != cs.curDomain
 
 	if domainSwitch {
-		k.Metrics.DomainSwitches++
 		k.emit(core, trace.DomainSwitchBegin, uint64(cs.curDomain), uint64(next.Domain))
 		switchStart := k.M.Cores[core].Now
 
@@ -213,7 +210,7 @@ func (k *Kernel) tick(core int) {
 		// residue of the outgoing domain, from here on the incoming
 		// domain owns the core.
 		k.stampDomain(core)
-		k.Metrics.LastDomainSwitchCycles = k.M.Cores[core].Now - switchStart
+		switchCycles := k.M.Cores[core].Now - switchStart
 		// Step 10: poll the cycle counter for the configured latency.
 		// The padding attribute is taken from the kernel active prior to
 		// the switch (§4.3).
@@ -231,9 +228,7 @@ func (k *Kernel) tick(core int) {
 				k.M.Cores[core].Now = deadline
 			}
 		}
-		k.Metrics.LastDomainSwitchPadded = k.M.Cores[core].Now - switchStart
-		k.emit(core, trace.DomainSwitchEnd,
-			k.Metrics.LastDomainSwitchCycles, k.M.Cores[core].Now-cs.tickStart)
+		k.emit(core, trace.DomainSwitchEnd, switchCycles, k.M.Cores[core].Now-cs.tickStart)
 	} else {
 		// Ordinary same-domain preemption: just switch threads.
 		if next != nil {
@@ -413,7 +408,6 @@ func (k *Kernel) prefetchShared(core int) {
 // running thread is the observable of the interrupt channel (Figure 6).
 func (k *Kernel) handleIRQ(core int, line int) {
 	cs := k.cores[core]
-	k.Metrics.IRQsHandled++
 	k.emit(core, trace.KernelIRQ, uint64(line), 0)
 	k.M.IRQ.Acknowledge(line)
 	k.kSpin(core, trapEntryCost)

@@ -50,7 +50,6 @@ func SyscallTextRanges() [][2]uint64 {
 // setup, cap lookup for slot (when >= 0), then the handler's text.
 func (k *Kernel) syscallEnter(core int, t *TCB, slot int, textOff, textLen uint64) {
 	cs := k.cores[core]
-	k.Metrics.Syscalls++
 	k.emit(core, trace.KernelSyscall, textOff, 0)
 	k.kSpin(core, trapEntryCost)
 	k.execText(core, cs.curImage, sysTextEntry, sysTextEntryLen)

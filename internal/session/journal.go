@@ -99,10 +99,8 @@ var errJournal = errors.New("session: invalid journal doc")
 // chunkCap is the chunk-iteration cap of the attack a normalized spec
 // prepares — the most chunks a session of that spec can ever run.
 func chunkCap(sp Spec) int {
-	if sp.Channel == "interrupt" {
-		return channel.InterruptChunkCap(sp.Samples)
-	}
-	return channel.ReceiverChunkCap
+	c, _ := channel.LookupSteppable(sp.Channel)
+	return c.ChunkCap(sp.Samples)
 }
 
 // decodeJournal parses and checks a journal doc. Docs arrive from disk

@@ -64,31 +64,19 @@ type Spec struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// intraResources maps the spec's channel names onto channel.Resource.
-var intraResources = map[string]channel.Resource{
-	"l1d": channel.L1D, "l1i": channel.L1I, "l2": channel.L2,
-	"tlb": channel.TLB, "btb": channel.BTB, "bhb": channel.BHB,
-}
-
-// Channels lists every session-steppable channel name.
-func Channels() []string {
-	return []string{"l1d", "l1i", "l2", "tlb", "btb", "bhb", "kernel", "interrupt"}
-}
-
 // withDefaults validates the spec and fills the declaration-level
 // defaults, returning the normalized form a session echoes back.
 func (sp Spec) withDefaults() (Spec, error) {
 	if sp.Channel == "" {
-		return sp, fmt.Errorf("%w: missing channel (%v)", ErrBadSpec, Channels())
+		return sp, fmt.Errorf("%w: missing channel (%v)", ErrBadSpec, channel.SteppableChannels())
 	}
-	if _, ok := intraResources[sp.Channel]; !ok && sp.Channel != "kernel" && sp.Channel != "interrupt" {
-		return sp, fmt.Errorf("%w: unknown channel %q (%v)", ErrBadSpec, sp.Channel, Channels())
+	if _, ok := channel.LookupSteppable(sp.Channel); !ok {
+		return sp, fmt.Errorf("%w: unknown channel %q (%v)", ErrBadSpec, sp.Channel, channel.SteppableChannels())
 	}
-	switch sp.Scenario {
-	case "":
+	if sp.Scenario == "" {
 		sp.Scenario = "raw"
-	case "raw", "fullflush", "protected":
-	default:
+	}
+	if _, ok := kernel.ParseScenario(sp.Scenario); !ok {
 		return sp, fmt.Errorf("%w: unknown scenario %q (raw|fullflush|protected)", ErrBadSpec, sp.Scenario)
 	}
 	if sp.Platform == "" {
@@ -120,26 +108,15 @@ func (sp Spec) withDefaults() (Spec, error) {
 	return sp, nil
 }
 
-// scenario resolves the validated scenario name.
-func (sp Spec) scenario() kernel.Scenario {
-	switch sp.Scenario {
-	case "fullflush":
-		return kernel.ScenarioFullFlush
-	case "protected":
-		return kernel.ScenarioProtected
-	default:
-		return kernel.ScenarioRaw
-	}
-}
-
 // channelSpec builds the channel.Spec the one-shot tpattack path would
 // use for the same parameters — determinism depends on this mapping
 // being exact.
 func (sp Spec) channelSpec(sink *trace.Sink) channel.Spec {
 	plat, _ := hw.PlatformByName(sp.Platform)
+	sc, _ := kernel.ParseScenario(sp.Scenario)
 	return channel.Spec{
 		Platform:          plat,
-		Scenario:          sp.scenario(),
+		Scenario:          sc,
 		Samples:           sp.Samples,
 		Seed:              *sp.Seed,
 		PadMicros:         sp.PadMicros,
@@ -250,16 +227,8 @@ func newSession(r *Registry, spec Spec) (*Session, error) {
 		sink = trace.NewSink(r.opts.TraceRing)
 	}
 	cs := spec.channelSpec(sink)
-	var x *channel.Interactive
-	var err error
-	switch spec.Channel {
-	case "kernel":
-		x, err = channel.PrepareKernelChannel(cs)
-	case "interrupt":
-		x, err = channel.PrepareInterruptChannel(cs, spec.Partition)
-	default:
-		x, err = channel.PrepareIntraCore(cs, intraResources[spec.Channel])
-	}
+	c, _ := channel.LookupSteppable(spec.Channel)
+	x, err := c.Prepare(cs, spec.Partition)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,11 @@ func oneShot(t *testing.T, sp Spec) *mi.Dataset {
 	case "interrupt":
 		ds, err = channel.RunInterruptChannel(cs, sp.Partition)
 	default:
-		ds, err = channel.RunIntraCore(cs, intraResources[sp.Channel])
+		res := map[string]channel.Resource{
+			"l1d": channel.L1D, "l1i": channel.L1I, "l2": channel.L2,
+			"tlb": channel.TLB, "btb": channel.BTB, "bhb": channel.BHB,
+		}[sp.Channel]
+		ds, err = channel.RunIntraCore(cs, res)
 	}
 	if err != nil {
 		t.Fatalf("one-shot %s: %v", sp.Channel, err)

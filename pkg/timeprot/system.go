@@ -52,10 +52,11 @@ type Event = trace.Event
 // EventKind classifies trace events.
 type EventKind = trace.Kind
 
-// Kernel lifecycle trace kinds, re-exported for trace inspection.
+// Kernel trace kinds, re-exported for trace inspection.
 const (
 	EvClone   = trace.KernelClone
 	EvDestroy = trace.KernelDestroy
+	EvTick    = trace.KernelTick
 )
 
 // NewSystem boots a platform and partitions it into security domains
