@@ -220,19 +220,28 @@ func runSynthetic(plat hw.Platform, sc kernel.Scenario, domains, slices int, sin
 
 	fmt.Println("\nLLC occupancy by owner:")
 	llc := sys.K.M.Hier.LLC()
-	byOwner := map[string]int{}
+	// Rows print domains ascending, then boot/shared; an owner holding no
+	// line gets no row.
+	byDomain := make([]int, len(sys.Domains))
+	shared := 0
 	llc.VisitLines(func(tag uint64, dirty bool) {
 		c := memory.ColourOf(memory.PFN(tag>>memory.PageBits), nCol)
 		if owner, ok := colourOwner[c]; ok {
-			byOwner[fmt.Sprintf("domain %d", owner)]++
+			byDomain[owner]++
 		} else {
-			byOwner["boot/shared"]++
+			shared++
 		}
 	})
 	total := llc.Sets() * llc.Ways()
-	for who, n := range byOwner {
-		fmt.Printf("  %-12s %6d lines (%.1f%% of LLC)\n", who, n, 100*float64(n)/float64(total))
+	row := func(who string, n int) {
+		if n > 0 {
+			fmt.Printf("  %-12s %6d lines (%.1f%% of LLC)\n", who, n, 100*float64(n)/float64(total))
+		}
 	}
+	for id, n := range byDomain {
+		row(fmt.Sprintf("domain %d", id), n)
+	}
+	row("boot/shared", shared)
 
 	fmt.Println("\nKernel metrics:")
 	fmt.Printf("  ticks %d, domain switches %d, kernel switches %d, syscalls %d, IRQs %d\n",

@@ -142,9 +142,6 @@ func (h *Hierarchy) SetLLCPartition(core int, mask uint64) {
 	h.llcMask[core] = mask
 }
 
-// LLCPartition returns core's current way mask.
-func (h *Hierarchy) LLCPartition(core int) uint64 { return h.llcMask[core] }
-
 // jitter returns the next DRAM-latency perturbation.
 func (h *Hierarchy) jitter() int {
 	if h.cfg.MemJitter <= 0 {
@@ -250,14 +247,8 @@ func (h *Hierarchy) LLC() *Cache {
 	return h.l2[0]
 }
 
-// ITLBOf returns core's instruction TLB.
-func (h *Hierarchy) ITLBOf(core int) *TLB { return h.itlb[core] }
-
 // DTLBOf returns core's data TLB.
 func (h *Hierarchy) DTLBOf(core int) *TLB { return h.dtlb[core] }
-
-// L2TLBOf returns core's unified second-level TLB.
-func (h *Hierarchy) L2TLBOf(core int) *TLB { return h.l2tlb[core] }
 
 // BTBOf returns core's branch target buffer.
 func (h *Hierarchy) BTBOf(core int) *BTB { return h.btb[core] }

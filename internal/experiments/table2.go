@@ -112,18 +112,3 @@ func measureFlush(plat hw.Platform, full bool, tr *trace.Sink) (direct, indirect
 	}
 	return direct, indirect, nil
 }
-
-// Table2Both runs Table 2 for both platforms.
-func Table2Both(cfg Config) ([]Table2Result, error) {
-	var out []Table2Result
-	for _, p := range []hw.Platform{hw.Haswell(), hw.Sabre()} {
-		c := cfg
-		c.Platform = p
-		r, err := Table2(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

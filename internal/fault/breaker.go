@@ -58,9 +58,6 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	}
 }
 
-// SetClock replaces the breaker's time source (tests only).
-func (b *Breaker) SetClock(now func() time.Time) { b.now = now }
-
 // Allow reports whether work for this key may proceed. Past the
 // cooldown an open circuit admits callers again (half-open): their
 // outcome decides whether it closes or re-opens.

@@ -29,7 +29,7 @@ type Env struct {
 
 // thread returns the invoking thread. Programs must not issue further
 // operations after a blocking call within the same Step (the kernel has
-// already switched threads); Blocked() lets them check.
+// already switched threads).
 func (e *Env) thread() *TCB { return e.k.cores[e.core].cur }
 
 // Core returns the core this environment executes on.
@@ -55,10 +55,6 @@ func (e *Env) Now() uint64 {
 // PreciseNow bypasses the fuzzy clock (harness instrumentation only —
 // workload completion accounting, not attacker-visible).
 func (e *Env) PreciseNow() uint64 { return e.k.M.Cores[e.core].Now }
-
-// Blocked reports whether the calling program's thread is no longer
-// current (it blocked or was preempted); Step must return promptly.
-func (e *Env) Blocked(t *TCB) bool { return e.k.cores[e.core].cur != t }
 
 // Load performs a user data load, returning its cycle cost (the
 // measurement primitive of every prime&probe receiver).

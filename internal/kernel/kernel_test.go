@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 
 	"timeprotection/internal/hw"
@@ -564,6 +565,82 @@ func TestDeferredIRQDeliveredInOwnDomain(t *testing.T) {
 	}
 	if n.Word == 0 {
 		t.Fatal("bound notification not signalled")
+	}
+}
+
+// TestKernelSetIntSyscall drives Kernel_SetInt (§4.2) through its
+// capability-checked syscall: a wrong capability type or a capability
+// without write rights is refused and binds nothing; valid capabilities
+// bind the line, so delivery waits for the owning image's slices.
+func TestKernelSetIntSyscall(t *testing.T) {
+	k, procs := twoDomains(t, hw.Haswell(), ScenarioProtected)
+	h := k.AddIRQDevice(9, 0)
+	cs := &procs[0].CSpace
+	irqRW := cs.Install(Capability{Type: CapIRQHandler, Rights: RightRead | RightWrite, Obj: h})
+	irqRO := cs.Install(Capability{Type: CapIRQHandler, Rights: RightRead, Obj: h})
+	imgRW := cs.Install(Capability{Type: CapKernelImage, Rights: RightRead | RightWrite, Obj: procs[1].Image})
+	imgRO := cs.Install(Capability{Type: CapKernelImage, Rights: RightRead, Obj: procs[1].Image})
+	n, _ := k.NewNotification(procs[1])
+	k.BindIRQNotification(9, n)
+
+	refusals := []struct {
+		name         string
+		irqSlot, img int
+		want         error
+	}{
+		{"image cap as the IRQ handler", imgRW, imgRW, ErrWrongType},
+		{"IRQ cap as the image", irqRW, irqRW, ErrWrongType},
+		{"read-only IRQ handler", irqRO, imgRW, ErrNoRights},
+		{"read-only image", irqRW, imgRO, ErrNoRights},
+	}
+	bound := false
+	setter := ProgramFunc(func(e *Env) bool {
+		if !bound {
+			bound = true
+			for _, r := range refusals {
+				if err := e.KernelSetInt(r.irqSlot, r.img); !errors.Is(err, r.want) {
+					t.Errorf("%s: got %v, want %v", r.name, err, r.want)
+				}
+			}
+			if img := k.irqBind[9].img; img != nil {
+				t.Fatal("a refused Kernel_SetInt bound the line")
+			}
+			if err := e.KernelSetInt(irqRW, imgRW); err != nil {
+				t.Fatalf("KernelSetInt with valid capabilities: %v", err)
+			}
+		}
+		e.Spin(1000)
+		return true
+	})
+	mustThread(t, k, procs[0], "a", 10, 0, setter)
+	mustThread(t, k, procs[1], "b", 10, 1, &counter{base: 0x400000})
+	for i := 0; i < 20 && !bound; i++ {
+		runFor(k, 0, testSlice/2)
+	}
+	if k.irqBind[9].img != procs[1].Image {
+		t.Fatal("Kernel_SetInt did not bind line 9 to domain 1's image")
+	}
+	// The mask follows the binding from the next domain switch on: wait
+	// for domain 1, then for domain 0 to be current again.
+	for _, want := range []*Image{procs[1].Image, procs[0].Image} {
+		for i := 0; i < 20 && k.CurrentImage(0) != want; i++ {
+			runFor(k, 0, testSlice/2)
+		}
+		if k.CurrentImage(0) != want {
+			t.Fatal("domains never alternated")
+		}
+	}
+	ev := watchKernel(k)
+	k.M.IRQ.Raise(9)
+	runFor(k, 0, 2000)
+	if k.CurrentImage(0) == procs[0].Image && ev.n[trace.KernelIRQ] != 0 {
+		t.Fatal("IRQ bound by Kernel_SetInt handled in a foreign domain")
+	}
+	for i := 0; i < 20 && ev.n[trace.KernelIRQ] == 0; i++ {
+		runFor(k, 0, testSlice/2)
+	}
+	if ev.n[trace.KernelIRQ] == 0 || n.Word == 0 {
+		t.Fatal("IRQ bound by Kernel_SetInt never delivered to its own domain")
 	}
 }
 

@@ -96,12 +96,3 @@ func dequeueAt(q []*TCB, i int) []*TCB {
 	q[len(q)-1] = nil
 	return q[:len(q)-1]
 }
-
-// RunnableCount returns the number of queued threads (tests).
-func (s *Scheduler) RunnableCount() int {
-	n := 0
-	for p := range s.ready {
-		n += len(s.ready[p])
-	}
-	return n
-}

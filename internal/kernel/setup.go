@@ -50,21 +50,5 @@ func (k *Kernel) GrantKernelMemoryCap(p *Process, pool *memory.Pool) (int, error
 	return p.CSpace.Install(Capability{Type: CapKernelMemory, Rights: RightRead | RightWrite, Obj: km}), nil
 }
 
-// ImageOf returns the kernel image serving a process.
-func (p *Process) ImageOf() *Image { return p.Image }
-
-// SetImage rebinds the process (and its future threads) to a kernel
-// image — the "associates the child with the corresponding kernel
-// image" step of the partitioning recipe (§3.3). Existing threads are
-// rebound too; they must not be running.
-func (k *Kernel) SetImage(p *Process, img *Image) {
-	p.Image = img
-	for _, t := range k.allThreads {
-		if t.Proc == p {
-			t.Image = img
-		}
-	}
-}
-
 // Threads returns all threads ever created (tests, audits).
 func (k *Kernel) Threads() []*TCB { return k.allThreads }

@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -607,56 +606,5 @@ func TestMixedStepsAcrossRestore(t *testing.T) {
 				t.Fatal("session not done after a 1000-round step")
 			}
 		})
-	}
-}
-
-// TestLegacyListJournalRestores: a doc in the list form, which journaled
-// every step instead of the position, restores by replaying its list
-// once to the state an unjournaled twin reaches, and the session's next
-// step rewrites it in position form.
-func TestLegacyListJournalRestores(t *testing.T) {
-	sp := Spec{Channel: "l1d", Samples: 24, Seed: ptr(7)}
-	ops := []stepOp{{3, 1}, {1, 0}, {5, 0}}
-	twin, twinRes := stepTwin(t, sp, ops)
-
-	const id = "s-legacy-1"
-	j := newMemJournal()
-	j.docs[Key(id)] = legacyDoc(id, `[{"seq":1,"rounds":3},{"rounds":1},{"rounds":5}]`)
-	r := newTestRegistry(t, Options{Journal: j})
-	got, ok := r.Get(id)
-	if !ok {
-		t.Fatal("list-form doc did not restore")
-	}
-	sameSession(t, got, twin)
-	if stats := r.Stats(); stats.Restored != 1 || stats.Steps != 3 {
-		t.Errorf("counters after legacy restore: %+v", stats)
-	}
-	retry, err := got.StepSeq(3, 1)
-	if err != nil {
-		t.Fatalf("retry seq 1: %v", err)
-	}
-	if b := mustJSON(t, retry); !bytes.Equal(b, twinRes[1]) {
-		t.Fatalf("retry seq 1 answered\n%s\ntwin\n%s", b, twinRes[1])
-	}
-	if len(j.bodies()) != 0 {
-		t.Fatalf("restore or retry wrote the journal: %q", j.bodies())
-	}
-
-	if _, err := got.StepSeq(2, 2); err != nil {
-		t.Fatalf("StepSeq(2, 2): %v", err)
-	}
-	bodies := j.bodies()
-	if len(bodies) != 1 {
-		t.Fatalf("%d journal writes for one step", len(bodies))
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(bodies[0], &doc); err != nil {
-		t.Fatalf("rewritten doc: %v", err)
-	}
-	if steps := doc["steps"]; len(steps) == 0 || steps[0] == '[' {
-		t.Fatalf("rewritten doc still holds a step list: %s", bodies[0])
-	}
-	if string(doc["steps"]) != "4" {
-		t.Errorf("rewritten doc counts steps %s, want 4: %s", doc["steps"], bodies[0])
 	}
 }

@@ -83,16 +83,6 @@ type lastStep struct {
 	From   int    `json:"from"`
 }
 
-// StepRec is one step of the list-form doc, the journal format that
-// recorded every step's rounds and sequence number (0 = unsequenced)
-// instead of the session's position. Such docs still restore, by
-// replaying the list once; the session's next step rewrites the doc in
-// position form.
-type StepRec struct {
-	Seq    uint64 `json:"seq,omitempty"`
-	Rounds int    `json:"rounds"`
-}
-
 // errJournal wraps every reason decodeJournal rejects a doc.
 var errJournal = errors.New("session: invalid journal doc")
 
@@ -110,86 +100,46 @@ func chunkCap(sp Spec) int {
 // position doc's chunk count must lie within the spec's chunk cap, and
 // its last sequenced step, unless zero, must have rounds in
 // 1..MaxStepRounds and a start chunk no later than the doc's position.
-// A list-form doc (steps is an array) must hold rounds in
-// 1..MaxStepRounds and strictly increasing seqs, and is returned as the
-// list to replay.
-func decodeJournal(body []byte) (journalDoc, []StepRec, error) {
-	doc, recs, err := parseJournal(body)
+func decodeJournal(body []byte) (journalDoc, error) {
+	doc, err := parseJournal(body)
 	if err != nil {
-		return journalDoc{}, nil, fmt.Errorf("%w: %v", errJournal, err)
+		return journalDoc{}, fmt.Errorf("%w: %v", errJournal, err)
 	}
-	return doc, recs, nil
+	return doc, nil
 }
 
-func parseJournal(body []byte) (journalDoc, []StepRec, error) {
-	var wire struct {
-		journalDoc
-		Steps json.RawMessage `json:"steps"` // a count, or the list form
+func parseJournal(body []byte) (journalDoc, error) {
+	var doc journalDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return journalDoc{}, err
 	}
-	if err := json.Unmarshal(body, &wire); err != nil {
-		return journalDoc{}, nil, err
-	}
-	doc := wire.journalDoc
 	if err := validID(doc.ID); err != nil {
-		return journalDoc{}, nil, err
+		return journalDoc{}, err
 	}
 	if doc.Closed != "" {
-		return journalDoc{ID: doc.ID, Closed: doc.Closed}, nil, nil
+		return journalDoc{ID: doc.ID, Closed: doc.Closed}, nil
 	}
 	spec, err := doc.Spec.withDefaults()
 	if err != nil {
-		return journalDoc{}, nil, err
+		return journalDoc{}, err
 	}
 	doc.Spec = spec
-	if len(wire.Steps) > 0 && wire.Steps[0] == '[' {
-		if doc.Chunks != 0 || doc.Last != (lastStep{}) {
-			return journalDoc{}, nil, errors.New("step list beside a position")
-		}
-		recs, err := parseStepList(wire.Steps)
-		return doc, recs, err
-	}
-	if len(wire.Steps) > 0 {
-		if err := json.Unmarshal(wire.Steps, &doc.Steps); err != nil {
-			return journalDoc{}, nil, err
-		}
-	}
 	l := doc.Last
 	switch {
 	case doc.Chunks < 0 || doc.Chunks > chunkCap(spec):
-		return journalDoc{}, nil, fmt.Errorf("chunks %d outside 0..%d", doc.Chunks, chunkCap(spec))
+		return journalDoc{}, fmt.Errorf("chunks %d outside 0..%d", doc.Chunks, chunkCap(spec))
 	case doc.Chunks > 0 && doc.Steps == 0:
-		return journalDoc{}, nil, fmt.Errorf("%d chunks run by no step", doc.Chunks)
+		return journalDoc{}, fmt.Errorf("%d chunks run by no step", doc.Chunks)
 	case l == (lastStep{}):
-		return doc, nil, nil
+		return doc, nil
 	case l.Seq == 0 || doc.Steps == 0:
-		return journalDoc{}, nil, fmt.Errorf("last step %+v without a seq or a step", l)
+		return journalDoc{}, fmt.Errorf("last step %+v without a seq or a step", l)
 	case l.Rounds < 1 || l.Rounds > MaxStepRounds:
-		return journalDoc{}, nil, fmt.Errorf("last step rounds %d", l.Rounds)
+		return journalDoc{}, fmt.Errorf("last step rounds %d", l.Rounds)
 	case l.From < 0 || l.From > doc.Chunks:
-		return journalDoc{}, nil, fmt.Errorf("last step from chunk %d, position %d", l.From, doc.Chunks)
+		return journalDoc{}, fmt.Errorf("last step from chunk %d, position %d", l.From, doc.Chunks)
 	}
-	return doc, nil, nil
-}
-
-// parseStepList checks a list-form doc's steps.
-func parseStepList(raw json.RawMessage) ([]StepRec, error) {
-	var recs []StepRec
-	if err := json.Unmarshal(raw, &recs); err != nil {
-		return nil, err
-	}
-	var seq uint64
-	for i, rec := range recs {
-		if rec.Rounds < 1 || rec.Rounds > MaxStepRounds {
-			return nil, fmt.Errorf("step %d rounds %d", i, rec.Rounds)
-		}
-		if rec.Seq != 0 {
-			if rec.Seq <= seq {
-				return nil, fmt.Errorf("step %d seq %d after %d", i, rec.Seq, seq)
-			}
-			seq = rec.Seq
-		}
-	}
-	return recs, nil
+	return doc, nil
 }
 
 // journalLocked persists the session's current position (caller holds
@@ -247,7 +197,7 @@ func (r *Registry) journalLive(id string) bool {
 	if !ok {
 		return false
 	}
-	doc, _, err := decodeJournal(body)
+	doc, err := decodeJournal(body)
 	return err == nil && doc.Closed == ""
 }
 
@@ -280,7 +230,7 @@ func (r *Registry) doRestore(id string) (*Session, bool) {
 	if !ok {
 		return nil, false
 	}
-	doc, recs, err := decodeJournal(body)
+	doc, err := decodeJournal(body)
 	if err != nil || doc.ID != id || doc.Closed != "" {
 		return nil, false
 	}
@@ -291,12 +241,7 @@ func (r *Registry) doRestore(id string) (*Session, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if recs != nil {
-		err = s.replayLegacy(recs)
-	} else {
-		err = s.resume(doc)
-	}
-	if err != nil {
+	if err := s.resume(doc); err != nil {
 		return nil, false
 	}
 	if err := r.insert(s, id); err != nil {
@@ -334,18 +279,5 @@ func (s *Session) resume(doc journalDoc) error {
 	total := s.x.Dataset().N()
 	s.collected.Store(int64(total))
 	s.count(doc.Steps, total)
-	return nil
-}
-
-// replayLegacy restores a list-form doc by applying its steps in order,
-// once, unjournaled.
-func (s *Session) replayLegacy(recs []StepRec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range recs {
-		if _, err := s.applyLocked(rec.Rounds, rec.Seq); err != nil {
-			return err
-		}
-	}
 	return nil
 }

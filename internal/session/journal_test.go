@@ -73,13 +73,6 @@ func TestJournalSizeIndependentOfSteps(t *testing.T) {
 	}
 }
 
-// legacyDoc hand-writes a list-form journal doc for the session
-// continuity and decoder tests.
-func legacyDoc(id, steps string) []byte {
-	return []byte(`{"id":"` + id + `","spec":{"channel":"l1d","scenario":"raw","platform":"haswell",` +
-		`"samples":24,"seed":7,"trace":"protocol"},"steps":` + steps + `}`)
-}
-
 // TestDecodeJournal pins what the decoder accepts and rejects.
 func TestDecodeJournal(t *testing.T) {
 	pos := func(steps, chunks, seq, rounds, from string) []byte {
@@ -92,13 +85,11 @@ func TestDecodeJournal(t *testing.T) {
 		"unsequenced":    pos("3", "5", "0", "0", "0"),
 		"at chunk cap":   pos("1", "100000", "1", "1", "0"),
 		"interrupt cap":  []byte(`{"id":"s-a-1","spec":{"channel":"interrupt","samples":10},"steps":1,"chunks":420}`),
-		"list form":      legacyDoc("s-a-1", `[{"seq":1,"rounds":3},{"rounds":1},{"seq":4,"rounds":5}]`),
-		"empty list":     legacyDoc("s-a-1", `[]`),
 		"tombstone":      []byte(`{"id":"s-a-1","spec":{"channel":""},"closed":"deleted"}`),
 		"no steps field": []byte(`{"id":"s-a-1","spec":{"channel":"l1d"}}`),
 	}
 	for name, body := range accept {
-		if _, _, err := decodeJournal(body); err != nil {
+		if _, err := decodeJournal(body); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
@@ -115,14 +106,11 @@ func TestDecodeJournal(t *testing.T) {
 		"rounds past bound":   pos("3", "5", "2", "1048577", "1"),
 		"last without seq":    pos("3", "5", "0", "4", "1"),
 		"chunks without step": pos("0", "5", "0", "0", "0"),
-		"list rounds zero":    legacyDoc("s-a-1", `[{"rounds":0}]`),
-		"list rounds big":     legacyDoc("s-a-1", `[{"rounds":1048577}]`),
-		"list seq repeats":    legacyDoc("s-a-1", `[{"seq":2,"rounds":1},{"seq":2,"rounds":1}]`),
-		"list and position":   []byte(`{"id":"s-a-1","spec":{"channel":"l1d"},"steps":[{"rounds":1}],"chunks":3}`),
+		"steps a list":        []byte(`{"id":"s-a-1","spec":{"channel":"l1d"},"steps":[{"seq":1,"rounds":3}]}`),
 		"steps not a count":   []byte(`{"id":"s-a-1","spec":{"channel":"l1d"},"steps":"x"}`),
 	}
 	for name, body := range reject {
-		if _, _, err := decodeJournal(body); !errors.Is(err, errJournal) {
+		if _, err := decodeJournal(body); !errors.Is(err, errJournal) {
 			t.Errorf("%s: got %v, want errJournal", name, err)
 		}
 	}
@@ -133,10 +121,9 @@ func TestDecodeJournal(t *testing.T) {
 func FuzzDecodeJournal(f *testing.F) {
 	f.Add([]byte(`{"id":"s-a-1","spec":{"channel":"l1d","samples":24},"steps":3,"chunks":5,` +
 		`"last":{"seq":2,"rounds":4,"from":1}}`))
-	f.Add(legacyDoc("s-a-1", `[{"seq":1,"rounds":3},{"rounds":1}]`))
 	f.Add([]byte(`{"id":"s-a-1","spec":{"channel":""},"closed":"deleted"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		doc, recs, err := decodeJournal(body)
+		doc, err := decodeJournal(body)
 		if err != nil {
 			if !errors.Is(err, errJournal) {
 				t.Fatalf("error %v does not wrap errJournal", err)
@@ -147,18 +134,13 @@ func FuzzDecodeJournal(f *testing.F) {
 			t.Fatalf("accepted invalid id %q", doc.ID)
 		}
 		if doc.Closed != "" {
-			if recs != nil || doc != (journalDoc{ID: doc.ID, Closed: doc.Closed}) {
-				t.Fatalf("tombstone carries a position: %+v %v", doc, recs)
+			if doc != (journalDoc{ID: doc.ID, Closed: doc.Closed}) {
+				t.Fatalf("tombstone carries a position: %+v", doc)
 			}
 			return
 		}
 		if _, err := doc.Spec.withDefaults(); err != nil {
 			t.Fatalf("accepted spec %+v: %v", doc.Spec, err)
-		}
-		for i, rec := range recs {
-			if rec.Rounds < 1 || rec.Rounds > MaxStepRounds {
-				t.Fatalf("accepted list step %d with rounds %d", i, rec.Rounds)
-			}
 		}
 		if doc.Chunks < 0 || doc.Chunks > chunkCap(doc.Spec) {
 			t.Fatalf("accepted chunks %d, cap %d", doc.Chunks, chunkCap(doc.Spec))
@@ -169,15 +151,13 @@ func FuzzDecodeJournal(f *testing.F) {
 			}
 		}
 		// An accepted position re-encodes to a doc that decodes to itself.
-		if recs == nil {
-			b, err := json.Marshal(doc)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			again, _, err := decodeJournal(b)
-			if err != nil || !bytes.Equal(mustJSON(t, again), b) {
-				t.Fatalf("re-encoded doc %s decodes to %+v, %v", b, again, err)
-			}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := decodeJournal(b)
+		if err != nil || !bytes.Equal(mustJSON(t, again), b) {
+			t.Fatalf("re-encoded doc %s decodes to %+v, %v", b, again, err)
 		}
 	})
 }
