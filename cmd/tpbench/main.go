@@ -149,9 +149,9 @@ func main() {
 
 	err := experiments.RunJobs(experiments.PlanJobs(entries, rs, *resume), *parallel, os.Stdout)
 	if *snapStats {
-		s := snapshot.Stats()
-		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d disk hits, %d memo hits, %d cold-boot fallbacks\n",
-			s.Captures, s.Forks, s.DiskHits, s.MemoHits, s.Fallbacks)
+		s, reg := snapshot.Stats(), snapshot.RegistryStats()
+		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d disk hits, %d memo hits, %d cold-boot fallbacks; registry %d entries, %d bytes\n",
+			s.Captures, s.Forks, s.DiskHits, s.MemoHits, s.Fallbacks, reg.Entries, reg.Bytes)
 	}
 	if err != nil {
 		if !errors.Is(err, experiments.ErrCheckFailed) {

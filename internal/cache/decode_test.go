@@ -38,21 +38,28 @@ var tinyL1 = Config{Name: "L1-D", Size: 4096, Ways: 8, LineSize: 64, HitLatency:
 
 // cacheBlob hand-builds a cache encoding whose last set carries the
 // given LRU stack and masks (one tag per valid bit); every other set is
-// empty.
+// pristine, so the encoding skips it.
 func cacheBlob(cfg Config, lru, valid, dirty uint64) []byte {
 	var w enc.Writer
 	w.U64(0) // pinMask
-	sets := cfg.Sets()
-	for set := 0; set < sets-1; set++ {
-		w.U64(lruInit(cfg.Ways))
-		w.U64(0)
-		w.U64(0)
-	}
-	w.U64(lru)
+	prev := -1
+	w.Index(&prev, cfg.Sets()-1)
+	w.U64(lru ^ lruInit(cfg.Ways))
 	w.U64(valid)
 	w.U64(dirty)
 	for v := valid; v != 0; v &= v - 1 {
-		w.U64(0x40000)
+		w.U64(0x40000 >> 6) // the line of tag 0x40000
+	}
+	w.Index(&prev, cfg.Sets())
+	return w.Bytes()
+}
+
+// rawBlob hand-builds an encoding from raw varints, for the framing
+// cases the typed blob helpers cannot spell.
+func rawBlob(vs ...uint64) []byte {
+	var w enc.Writer
+	for _, v := range vs {
+		w.U64(v)
 	}
 	return w.Bytes()
 }
@@ -118,6 +125,28 @@ func TestDecodeRejectsCorruptState(t *testing.T) {
 		}, false},
 		{"cache LRU stack without fillers", func() error {
 			return New(tinyL1).DecodeState(enc.NewReader(cacheBlob(tinyL1, 0x0000000076543210, 0, 0)))
+		}, false},
+		{"cache set with only its LRU stack moved", func() error {
+			return New(tinyL1).DecodeState(enc.NewReader(cacheBlob(tinyL1, 0xFFFFFFFF76543201, 0, 0)))
+		}, true},
+		{"cache explicit pristine set", func() error {
+			return New(tinyL1).DecodeState(enc.NewReader(cacheBlob(tinyL1, lru8, 0, 0)))
+		}, false},
+		{"cache set index repeated", func() error {
+			// pin 0; set 0 (distance 1) holding way 0; set 0 again (distance 0)
+			return New(tinyL1).DecodeState(enc.NewReader(rawBlob(0, 1, 0, 1, 0, 0x1000, 0, 0, 1, 0, 0x1000, 8)))
+		}, false},
+		{"cache set index beyond the sets", func() error {
+			return New(tinyL1).DecodeState(enc.NewReader(rawBlob(0, 10)))
+		}, false},
+		{"cache list never closed", func() error {
+			return New(tinyL1).DecodeState(enc.NewReader(rawBlob(0, 1, 0, 1, 0, 0x1000)))
+		}, false},
+		{"cache line beyond a tag", func() error {
+			return New(tinyL1).DecodeState(enc.NewReader(rawBlob(0, 1, 0, 1, 0, 1<<60, 8)))
+		}, false},
+		{"cache pinned way beyond the ways", func() error {
+			return New(tinyL1).DecodeState(enc.NewReader(rawBlob(1<<8, 9)))
 		}, false},
 	}
 	for _, tc := range cases {

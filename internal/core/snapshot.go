@@ -67,7 +67,7 @@ func DecodeSystem(opts Options, r *enc.Reader) (*System, error) {
 			return nil, err
 		}
 	}
-	n := r.Int()
+	n := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

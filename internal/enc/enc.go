@@ -10,6 +10,12 @@
 // encodings are equal. Integers use unsigned varints (zig-zag for
 // signed); slices and maps are length-prefixed, and map entries must be
 // written in sorted key order by the caller.
+//
+// The Reader enforces that canonicality rather than assuming it: it
+// rejects a varint with a redundant zero byte and a boolean byte other
+// than 0 or 1, so no input has a second spelling of what it decodes
+// to. Sparse state — mostly-pristine tables and long frame lists — goes
+// through the two list forms of sparse.go, which own their own checks.
 package enc
 
 import (
@@ -21,6 +27,11 @@ import (
 
 // ErrTruncated is reported when a Reader runs out of input.
 var ErrTruncated = errors.New("enc: truncated input")
+
+// ErrInvalid is reported for input that is not the canonical encoding
+// of any state: a non-minimal varint, a boolean byte above 1, or a
+// sparse list that breaks its ordering or run rules.
+var ErrInvalid = errors.New("enc: invalid encoding")
 
 // Writer accumulates an encoding. The zero value is ready to use.
 type Writer struct {
@@ -105,7 +116,17 @@ func (r *Reader) fail() {
 	}
 }
 
-// U64 reads an unsigned varint.
+// Failf latches an ErrInvalid error carrying the formatted detail, for
+// decoders whose own checks reject the input. Later reads return zero
+// values, as after a truncation.
+func (r *Reader) Failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w at offset %d: %s", ErrInvalid, r.pos, fmt.Sprintf(format, args...))
+	}
+}
+
+// U64 reads an unsigned varint. A varint whose last byte is a redundant
+// zero continuation (a second spelling of a shorter one) is invalid.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
@@ -115,26 +136,37 @@ func (r *Reader) U64() uint64 {
 		r.fail()
 		return 0
 	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		r.Failf("non-minimal varint")
+		return 0
+	}
 	r.pos += n
 	return v
 }
 
-// I64 reads a signed varint.
+// I64 reads a signed (zig-zag) varint.
 func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
+	u := r.U64()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int reads an int.
 func (r *Reader) Int() int { return int(r.I64()) }
+
+// Count reads a length written with Writer.Int and checks it against
+// the unread bytes, each entry taking at least one: a negative count,
+// or one the input cannot hold, fails the reader and reads as 0, so it
+// never sizes an allocation or a loop.
+func (r *Reader) Count() int {
+	n := r.I64()
+	if r.err == nil && (n < 0 || n > int64(r.Remaining())) {
+		r.Failf("count %d with %d bytes left", n, r.Remaining())
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool {
@@ -146,8 +178,12 @@ func (r *Reader) Bool() bool {
 		return false
 	}
 	v := r.b[r.pos]
+	if v > 1 {
+		r.Failf("boolean byte %d", v)
+		return false
+	}
 	r.pos++
-	return v != 0
+	return v == 1
 }
 
 // F64 reads a float64.

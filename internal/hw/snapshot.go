@@ -27,12 +27,19 @@ func encodeIntMap(w *enc.Writer, m map[int]int) {
 	}
 }
 
+// decodeIntMap reads an encodeIntMap map, rejecting keys that are not
+// strictly ascending (a repeated key would be a second spelling).
 func decodeIntMap(r *enc.Reader) map[int]int {
-	n := r.Int()
+	n := r.Count()
 	m := make(map[int]int, n)
+	prev := 0
 	for i := 0; i < n; i++ {
 		k := r.Int()
-		m[k] = r.Int()
+		if i > 0 && k <= prev {
+			r.Failf("map key %d after %d", k, prev)
+			return m
+		}
+		m[k], prev = r.Int(), k
 	}
 	return m
 }
@@ -49,10 +56,16 @@ func encodeIntSet(w *enc.Writer, m map[int]bool) {
 	w.Ints(keys)
 }
 
+// decodeIntSet reads an encodeIntSet set, rejecting members that are
+// not strictly ascending.
 func decodeIntSet(r *enc.Reader) map[int]bool {
 	keys := r.Ints()
 	m := make(map[int]bool, len(keys))
-	for _, k := range keys {
+	for i, k := range keys {
+		if i > 0 && k <= keys[i-1] {
+			r.Failf("set member %d after %d", k, keys[i-1])
+			return m
+		}
 		m[k] = true
 	}
 	return m
@@ -130,7 +143,7 @@ func (m *Machine) DecodeState(r *enc.Reader) error {
 	if err := m.Alloc.DecodeState(r); err != nil {
 		return err
 	}
-	nt := r.Int()
+	nt := r.Count()
 	if err := r.Err(); err != nil {
 		return err
 	}

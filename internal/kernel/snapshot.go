@@ -77,14 +77,14 @@ func (k *Kernel) decodeImage(r *enc.Reader) (img *Image, parentID int, childIDs 
 		geom:    geometryFor(k.M.Plat.Arch),
 		ID:      r.Int(),
 		irqs:    make(map[int]bool),
-		text:    memory.DecodePFNs(r),
+		text:    memory.DecodePFNs(r, k.M.Alloc),
 		stack:   memory.PFN(r.U64()),
-		flushD:  memory.DecodePFNs(r),
-		flushI:  memory.DecodePFNs(r),
+		flushD:  memory.DecodePFNs(r, k.M.Alloc),
+		flushI:  memory.DecodePFNs(r, k.M.Alloc),
 		ptFrame: memory.PFN(r.U64()),
 	}
 	if r.Bool() {
-		img.mem = &KernelMemory{Frames: memory.DecodePFNs(r), image: img}
+		img.mem = &KernelMemory{Frames: memory.DecodePFNs(r, k.M.Alloc), image: img}
 	}
 	img.idle = &TCB{
 		Name:   fmt.Sprintf("idle/k%d", img.ID),
@@ -93,7 +93,11 @@ func (k *Kernel) decodeImage(r *enc.Reader) (img *Image, parentID int, childIDs 
 		isIdle: true,
 		Prio:   -1,
 	}
-	for _, l := range r.Ints() {
+	irqs := r.Ints()
+	for i, l := range irqs {
+		if i > 0 && l <= irqs[i-1] {
+			r.Failf("image IRQ %d after %d", l, irqs[i-1])
+		}
 		img.irqs[l] = true
 	}
 	img.PadCycles = r.U64()
@@ -175,7 +179,7 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 		return nil, err
 	}
 	k := &Kernel{M: m, Cfg: decodeKernelConfig(r), irqBind: make(map[int]*irqBinding)}
-	k.Shared = &SharedRegion{frames: memory.DecodePFNs(r)}
+	k.Shared = &SharedRegion{frames: memory.DecodePFNs(r, k.M.Alloc)}
 	if len(k.Shared.frames) == 0 {
 		return nil, fmt.Errorf("kernel: snapshot has no shared region")
 	}
@@ -187,7 +191,7 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 	if hasLatched && k.latchedSchedule == nil {
 		k.latchedSchedule = []int{}
 	}
-	nImages := r.Int()
+	nImages := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -229,13 +233,19 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 			img.children = append(img.children, c)
 		}
 	}
-	nBind := r.Int()
+	nBind := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nBind; i++ {
 		line := r.Int()
 		imgID := r.Int()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if k.irqBind[line] != nil {
+			return nil, fmt.Errorf("kernel: IRQ %d bound twice", line)
+		}
 		b := &irqBinding{}
 		if imgID >= 0 {
 			if b.img, err = resolve(imgID); err != nil {
@@ -245,7 +255,7 @@ func DecodeKernel(plat hw.Platform, r *enc.Reader) (*Kernel, error) {
 		k.irqBind[line] = b
 	}
 	k.sched = newScheduler(k)
-	nCores := r.Int()
+	nCores := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -308,7 +318,7 @@ func (k *Kernel) DecodeProcess(pool *memory.Pool, r *enc.Reader) (*Process, erro
 		AS:          as,
 		Pool:        pool,
 		Image:       img,
-		arenaFrames: memory.DecodePFNs(r),
+		arenaFrames: memory.DecodePFNs(r, k.M.Alloc),
 		arenaUsed:   r.U64(),
 		cnodeAddr:   r.U64(),
 	}

@@ -204,9 +204,10 @@ type Memo[K comparable, V any] struct {
 }
 
 // New builds a memo retaining at most capacity results (capacity <= 0
-// means a default of 1024).
-func New[K comparable, V any](capacity int) *Memo[K, V] {
-	return &Memo[K, V]{lru: NewLRU[K, V](capacity, nil)}
+// means a default of 1024). size, when non-nil, weighs each retained
+// result for Stats().Bytes, as in NewLRU.
+func New[K comparable, V any](capacity int, size func(V) int64) *Memo[K, V] {
+	return &Memo[K, V]{lru: NewLRU[K, V](capacity, size)}
 }
 
 // Do returns the value for key, computing it with fn when no retained

@@ -193,7 +193,7 @@ func TestLRUEviction(t *testing.T) {
 // TestMemoRetainsOnlySuccesses: a success is retained and served as a
 // hit; an error reaches the caller and the next caller computes again.
 func TestMemoRetainsOnlySuccesses(t *testing.T) {
-	m := New[string, int](4)
+	m := New[string, int](4, nil)
 	boom := errors.New("boom")
 	if _, hit, err := m.Do("k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) || hit {
 		t.Fatalf("failing Do = hit %v, err %v", hit, err)
@@ -220,7 +220,7 @@ func TestMemoRetainsOnlySuccesses(t *testing.T) {
 // other keys churns the bound; the in-flight key's waiters still share
 // its single run and its result is retained when it lands.
 func TestMemoInFlightNeverEvicted(t *testing.T) {
-	m := New[int, int](1)
+	m := New[int, int](1, nil)
 	var runs atomic.Int32
 	entered := make(chan struct{})
 	release := make(chan struct{})

@@ -45,6 +45,9 @@ type FrameAllocator struct {
 	base       PFN
 	total      int
 	allocated  []uint64 // bit i set = frame base+i allocated
+	// listed counts the frames named by the lists DecodePFNs decoded
+	// against this allocator since its DecodeState: their shared bound.
+	listed int
 }
 
 // NewFrameAllocator manages frames [base, base+count). numColours must

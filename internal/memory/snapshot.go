@@ -5,6 +5,14 @@ package memory
 // internal/enc so a booted machine can be forked. Free-list ORDER is
 // part of the state — allocation is LIFO, so two allocators are
 // behaviourally identical only if their lists match element for element.
+//
+// Frame lists are run lists (internal/enc): a colour's free list, carved
+// in one descending stride, stays one run until frames return out of
+// order. The allocation bitmap is not encoded: every frame in the
+// allocator's range is either on exactly one free list or allocated, so
+// the decoder derives the bitmap from the lists, and in doing so
+// rejects a free frame listed twice, under the wrong colour or outside
+// the range.
 
 import (
 	"fmt"
@@ -12,38 +20,29 @@ import (
 	"timeprotection/internal/enc"
 )
 
-func EncodePFNs(w *enc.Writer, fs []PFN) {
-	w.U64(uint64(len(fs)))
+// EncodePFNs appends a frame list to w as a run list.
+func EncodePFNs(w *enc.Writer, fs []PFN) { enc.WriteRuns(w, fs) }
+
+// DecodePFNs decodes a list EncodePFNs wrote, naming frames a manages.
+// It rejects a frame outside a's range, and it caps the frames that all
+// the lists decoded against a may name together at a's frame count —
+// far above what any machine lists (each frame is named by its owner
+// and perhaps its pool), but a bound a few input bytes cannot raise, so
+// runs cannot turn a short input into a large allocation.
+func DecodePFNs(r *enc.Reader, a *FrameAllocator) []PFN {
+	fs := enc.ReadRuns[PFN](r, nil, a.total-a.listed)
+	a.listed += len(fs)
 	for _, f := range fs {
-		w.U64(uint64(f))
+		if f < a.base || f-a.base >= PFN(a.total) {
+			r.Failf("frame %d outside [%d,%d)", f, a.base, a.base+PFN(a.total))
+			return nil
+		}
 	}
+	return fs
 }
 
-func DecodePFNs(r *enc.Reader) []PFN {
-	return decodePFNsInto(r, nil)
-}
-
-// decodePFNsInto decodes a PFN list into dst's backing storage,
-// allocating only when the list outgrows dst's capacity. An empty list
-// decodes to dst[:0] (length is what the allocator semantics observe;
-// keeping the backing lets a forked machine reuse the free lists its
-// constructor carved).
-func decodePFNsInto(r *enc.Reader, dst []PFN) []PFN {
-	n := int(r.U64())
-	if r.Err() != nil || n <= 0 || n > r.Remaining() {
-		return dst[:0]
-	}
-	if cap(dst) < n {
-		dst = make([]PFN, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = PFN(r.U64())
-	}
-	return dst
-}
-
-// EncodeState appends the allocator's mutable state to w.
+// EncodeState appends the allocator's mutable state to w: its shape,
+// then each colour's free list.
 func (a *FrameAllocator) EncodeState(w *enc.Writer) {
 	w.U64(uint64(a.base))
 	w.Int(a.total)
@@ -51,11 +50,11 @@ func (a *FrameAllocator) EncodeState(w *enc.Writer) {
 	for _, l := range a.free {
 		EncodePFNs(w, l)
 	}
-	w.U64s(a.allocated)
 }
 
 // DecodeState restores allocator state into an allocator constructed
-// over the same frame range and colour count.
+// over the same frame range and colour count, deriving the allocation
+// bitmap from the free lists.
 func (a *FrameAllocator) DecodeState(r *enc.Reader) error {
 	base := PFN(r.U64())
 	total := r.Int()
@@ -67,24 +66,41 @@ func (a *FrameAllocator) DecodeState(r *enc.Reader) error {
 		return fmt.Errorf("memory: allocator shape mismatch (got base=%d total=%d colours=%d, want base=%d total=%d colours=%d)",
 			base, total, colours, a.base, a.total, a.numColours)
 	}
+	for i := range a.allocated {
+		a.allocated[i] = ^uint64(0)
+	}
+	if tail := a.total % 64; tail != 0 {
+		a.allocated[len(a.allocated)-1] = 1<<tail - 1
+	}
+	a.listed = 0
 	for c := range a.free {
 		// Reuse each colour's existing backing: the constructor carved
-		// every list at its colour's full share, and a decoded list can
-		// never exceed it (a colour has only so many frames).
-		a.free[c] = decodePFNsInto(r, a.free[c][:0])
+		// every list at its colour's full share, which bounds the list.
+		a.free[c] = enc.ReadRuns(r, a.free[c][:0], a.colourShare(c))
+		if err := r.Err(); err != nil {
+			return err
+		}
+		for _, f := range a.free[c] {
+			switch {
+			case !a.isAllocated(f):
+				return fmt.Errorf("memory: frame %d free twice or outside [%d,%d)", f, a.base, a.base+PFN(a.total))
+			case ColourOf(f, a.numColours) != c:
+				return fmt.Errorf("memory: frame %d on colour %d's free list", f, c)
+			}
+			a.setAllocated(f, false)
+		}
 	}
-	bm := r.U64s()
-	if err := r.Err(); err != nil {
-		return err
+	return r.Err()
+}
+
+// colourShare returns the number of frames of colour c in the
+// allocator's range.
+func (a *FrameAllocator) colourShare(c int) int {
+	first := (c - ColourOf(a.base, a.numColours) + a.numColours) % a.numColours
+	if first >= a.total {
+		return 0
 	}
-	if len(bm) > len(a.allocated) {
-		return fmt.Errorf("memory: allocator bitmap length mismatch")
-	}
-	for i := range a.allocated {
-		a.allocated[i] = 0
-	}
-	copy(a.allocated, bm)
-	return nil
+	return (a.total-1-first)/a.numColours + 1
 }
 
 // EncodeState appends the pool's mutable state to w. The backing
@@ -101,7 +117,7 @@ func DecodePool(a *FrameAllocator, r *enc.Reader) (*Pool, error) {
 		alloc:   a,
 		colours: r.Ints(),
 		next:    r.Int(),
-		frames:  DecodePFNs(r),
+		frames:  DecodePFNs(r, a),
 	}
 	return p, r.Err()
 }
@@ -185,16 +201,4 @@ func DecodeAddressSpace(pool *Pool, r *enc.Reader) (*AddressSpace, error) {
 	}
 	as.npages = int(np)
 	return as, r.Err()
-}
-
-// EncodeState appends the untyped region's state to w.
-func (u *Untyped) EncodeState(w *enc.Writer) {
-	EncodePFNs(w, u.frames)
-	w.Int(u.used)
-}
-
-// DecodeUntyped reconstructs an untyped region from EncodeState output.
-func DecodeUntyped(r *enc.Reader) (*Untyped, error) {
-	u := &Untyped{frames: DecodePFNs(r), used: r.Int()}
-	return u, r.Err()
 }

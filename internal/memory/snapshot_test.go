@@ -1,6 +1,9 @@
 package memory
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"timeprotection/internal/enc"
@@ -95,5 +98,118 @@ func TestDecodeAddressSpaceRejectsCorruptBlobs(t *testing.T) {
 				t.Errorf("%s: %d pages mapped, want %d", tc.name, as.MappedPages(), len(tc.blob.pages))
 			}
 		}()
+	}
+}
+
+// encodeAllocator returns a's encoding.
+func encodeAllocator(a *FrameAllocator) []byte {
+	var w enc.Writer
+	a.EncodeState(&w)
+	return w.Bytes()
+}
+
+// TestAllocatorCodecRoundTrip drives allocators through random
+// allocations, pinned allocations and frees, then checks that the
+// encoding is canonical (Encode(Decode(Encode(a))) == Encode(a)), that
+// the bitmap derived from the free lists equals the live one, and that
+// a fresh allocator's free lists cost one run per colour.
+func TestAllocatorCodecRoundTrip(t *testing.T) {
+	fresh := NewFrameAllocator(16, 1000, 8)
+	if n := len(encodeAllocator(fresh)); n > 8*6 {
+		t.Fatalf("fresh allocator encodes to %d bytes, want one run per colour", n)
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewFrameAllocator(16, 1000, 8)
+		var held []PFN
+		for op := rng.Intn(2000); op > 0; op-- {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				if f, err := a.Alloc(rng.Intn(8)); err == nil {
+					held = append(held, f)
+				}
+			case k < 6:
+				if f := PFN(16 + rng.Intn(1000)); a.AllocPFN(f) {
+					held = append(held, f)
+				}
+			case len(held) > 0:
+				i := rng.Intn(len(held))
+				if err := a.Free(held[i]); err != nil {
+					t.Fatal(err)
+				}
+				held = append(held[:i], held[i+1:]...)
+			}
+		}
+		want := encodeAllocator(a)
+		dec := NewFrameAllocator(16, 1000, 8)
+		if _, err := dec.Alloc(3); err != nil { // a non-fresh target
+			t.Fatal(err)
+		}
+		if err := dec.DecodeState(enc.NewReader(want)); err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		if got := encodeAllocator(dec); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: re-encoding changed the bytes", seed)
+		}
+		if fmt.Sprint(dec.allocated) != fmt.Sprint(a.allocated) {
+			t.Fatalf("seed %d: derived allocation bitmap differs from the live one", seed)
+		}
+	}
+}
+
+// TestAllocatorDecodeRejects covers the free-list checks that replace
+// the encoded bitmap, and the shared bound on the other frame lists.
+func TestAllocatorDecodeRejects(t *testing.T) {
+	// freeLists builds an encoding of a 4-colour, 16-frame allocator
+	// at base 0 with the given free lists.
+	freeLists := func(lists ...[]PFN) []byte {
+		var w enc.Writer
+		w.U64(0)
+		w.Int(16)
+		w.Int(4)
+		for _, l := range lists {
+			EncodePFNs(&w, l)
+		}
+		return w.Bytes()
+	}
+	cases := []struct {
+		name string
+		blob []byte
+		ok   bool
+	}{
+		{"well-formed", freeLists([]PFN{12, 8, 4, 0}, []PFN{13, 9}, nil, []PFN{3}), true},
+		{"frame free twice", freeLists([]PFN{12, 8, 12}, nil, nil, nil), false},
+		{"frame on another colour's list", freeLists([]PFN{12, 9}, nil, nil, nil), false},
+		{"frame outside the range", freeLists(nil, nil, nil, []PFN{19}), false},
+		{"list longer than the colour's share", freeLists([]PFN{16, 12, 8, 4, 0}, nil, nil, nil), false},
+		{"shape mismatch", append([]byte{0, 64}, freeLists(nil, nil, nil, nil)[2:]...), false},
+	}
+	for _, tc := range cases {
+		a := NewFrameAllocator(0, 16, 4)
+		err := a.DecodeState(enc.NewReader(tc.blob))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: decoded without an error", tc.name)
+		}
+	}
+
+	a := NewFrameAllocator(0, 16, 4)
+	var w enc.Writer
+	EncodePFNs(&w, []PFN{3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	EncodePFNs(&w, []PFN{1, 2, 3, 4, 5, 6, 7})
+	r := enc.NewReader(w.Bytes())
+	if got := DecodePFNs(r, a); len(got) != 10 || r.Err() != nil {
+		t.Fatalf("first list: %v, %v", got, r.Err())
+	}
+	if got := DecodePFNs(r, a); got != nil || r.Err() == nil {
+		t.Fatalf("lists naming 17 frames of 16 decoded: %v", got)
+	}
+	w = enc.Writer{}
+	EncodePFNs(&w, []PFN{20})
+	r = enc.NewReader(w.Bytes())
+	if got := DecodePFNs(r, NewFrameAllocator(0, 16, 4)); got != nil || r.Err() == nil {
+		t.Fatalf("a frame outside the range decoded: %v", got)
 	}
 }

@@ -106,7 +106,8 @@ type Metrics struct {
 	// retained results; every server in the process shares both.
 	Snapshot struct {
 		snapshot.Counters
-		Memo memo.Stats `json:"memo"`
+		Memo     memo.Stats `json:"memo"`
+		Registry memo.Stats `json:"registry"`
 	} `json:"snapshot"`
 }
 
@@ -140,6 +141,7 @@ func (s *Server) Snapshot() Metrics {
 	}
 	m.Snapshot.Counters = snapshot.Stats()
 	m.Snapshot.Memo = snapshot.MemoStats()
+	m.Snapshot.Registry = snapshot.RegistryStats()
 	return m
 }
 

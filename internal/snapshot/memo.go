@@ -10,10 +10,12 @@ import "timeprotection/internal/memo"
 
 // memoCapacity bounds the run memo and the snapshot registry, in
 // entries: far above the ~290 run keys and 35 snapshots of a two-seed
-// `tpbench -all`, it keeps a tpserved serving every seed finite.
+// `tpbench -all`, it keeps a tpserved serving every seed finite. No
+// captured state exceeds about 60 KB, so the full registry holds at
+// most about 61 MB of state.
 const memoCapacity = 1024
 
-var runs = memo.New[string, any](memoCapacity)
+var runs = memo.New[string, any](memoCapacity, nil)
 
 // Memo returns the memoized result for key, computing it via compute on
 // first use. Concurrent callers for the same key block on a single

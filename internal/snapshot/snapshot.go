@@ -31,6 +31,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -48,7 +49,7 @@ import (
 // schemaVersion is bumped whenever any layer's EncodeState format
 // changes; persisted snapshots with a different version decode as
 // misses and are re-captured.
-const schemaVersion = 3
+const schemaVersion = 4
 
 var magic = [6]byte{'T', 'P', 'S', 'N', 'A', 'P'}
 
@@ -231,11 +232,21 @@ type entry struct {
 	state  []byte
 }
 
-// registry holds the populated snapshots, bounded like the run memo.
-// Population runs under its singleflight, so concurrent requests for
-// the same configuration boot exactly one machine; a failed capture is
-// not retained, and the next request boots again.
-var registry = memo.New[string, *entry](memoCapacity)
+// registry holds the populated snapshots, bounded like the run memo and
+// weighed by their state bytes (RegistryStats). Population runs under
+// its singleflight, so concurrent requests for the same configuration
+// boot exactly one machine; a failed capture is not retained, and the
+// next request boots again.
+var registry = memo.New[string](memoCapacity, func(e *entry) int64 { return int64(len(e.state)) })
+
+// RegistryStats returns the snapshot registry's counters; Bytes is the
+// encoded machine state it retains.
+func RegistryStats() memo.Stats { return registry.Stats() }
+
+// exact returns w's bytes in a buffer of their exact length, without
+// the append slack: the registry retains every captured state for the
+// life of the process.
+func exact(w *enc.Writer) []byte { return bytes.Clone(w.Bytes()) }
 
 // Reset drops every cached snapshot and memoized run result, so the
 // next request captures or loads from the attached store again (which
@@ -315,7 +326,7 @@ func forkSystem(opts core.Options) (*core.System, error) {
 			return nil, nil, err
 		}
 		d := deltasFrom(bootOpts.Tracer)
-		return &d, w.Bytes(), nil
+		return &d, exact(&w), nil
 	})
 	if err != nil {
 		// The capture boot failed; surface the same error a cold boot
@@ -363,7 +374,7 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 			return nil, nil, err
 		}
 		d := deltasFrom(probe)
-		return &d, w.Bytes(), nil
+		return &d, exact(&w), nil
 	})
 	if err != nil {
 		return nil, err
