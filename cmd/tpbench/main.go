@@ -136,9 +136,6 @@ func main() {
 			os.Exit(2)
 		}
 		defer st.Close()
-		// Machine snapshots share the artefact store, so a restarted run
-		// skips boot as well as completed artefacts.
-		snapshot.AttachStore(st)
 		if *resume {
 			stats := st.Stats()
 			fmt.Fprintf(os.Stderr, "tpbench: resuming from %s (%d completed artefacts recovered)\n",
@@ -150,8 +147,8 @@ func main() {
 	err := experiments.RunJobs(experiments.PlanJobs(entries, rs, *resume), *parallel, os.Stdout)
 	if *snapStats {
 		s, reg := snapshot.Stats(), snapshot.RegistryStats()
-		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d disk hits, %d memo hits, %d cold-boot fallbacks; registry %d entries, %d bytes\n",
-			s.Captures, s.Forks, s.DiskHits, s.MemoHits, s.Fallbacks, reg.Entries, reg.Bytes)
+		fmt.Fprintf(os.Stderr, "tpbench: snapshots: %d captures, %d forks, %d memo hits, %d cold-boot fallbacks; registry %d entries, %d bytes\n",
+			s.Captures, s.Forks, s.MemoHits, s.Fallbacks, reg.Entries, reg.Bytes)
 	}
 	if err != nil {
 		if !errors.Is(err, experiments.ErrCheckFailed) {

@@ -115,7 +115,6 @@ import (
 	"timeprotection/internal/fault"
 	"timeprotection/internal/service"
 	"timeprotection/internal/session"
-	"timeprotection/internal/snapshot"
 	"timeprotection/internal/store"
 )
 
@@ -195,9 +194,6 @@ func main() {
 			log.Fatalf("tpserved: %v", err)
 		}
 		opts.Store = st
-		// Machine snapshots persist through the same store: a restarted
-		// daemon forks booted machines from disk instead of re-booting.
-		snapshot.AttachStore(st)
 		stats := st.Stats()
 		log.Printf("tpserved: durable store %s (%d entries recovered, %d quarantined, %d journal records torn)",
 			*storeDir, stats.Recovered, stats.Quarantined, stats.TornRecords)

@@ -87,12 +87,6 @@ func (w *Writer) Ints(vs []int) {
 	}
 }
 
-// Raw writes a length-prefixed byte slice verbatim.
-func (w *Writer) Raw(b []byte) {
-	w.U64(uint64(len(b)))
-	w.b = append(w.b, b...)
-}
-
 // Reader decodes a Writer's output. Methods return zero values once an
 // error has occurred; check Err at the end of decoding.
 type Reader struct {
@@ -218,23 +212,6 @@ func (r *Reader) U64s() []uint64 {
 	for i := range out {
 		out[i] = r.U64()
 	}
-	return out
-}
-
-// Raw reads a length-prefixed byte slice (nil when empty). The returned
-// slice is a copy, safe to retain.
-func (r *Reader) Raw() []byte {
-	n := int(r.U64())
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || r.pos+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.pos:r.pos+n])
-	r.pos += n
 	return out
 }
 

@@ -25,7 +25,6 @@ func TestRoundTrip(t *testing.T) {
 	w.U64s([]uint64{1, 2, 3})
 	w.U64s(nil)
 	w.Ints([]int{-5, 0, 5})
-	w.Raw([]byte{0xde, 0xad})
 
 	r := NewReader(w.Bytes())
 	if got := r.U64(); got != 0 {
@@ -67,9 +66,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Ints(); len(got) != 3 || got[0] != -5 || got[2] != 5 {
 		t.Errorf("Ints = %v, want [-5 0 5]", got)
 	}
-	if got := r.Raw(); !bytes.Equal(got, []byte{0xde, 0xad}) {
-		t.Errorf("Raw = %x, want dead", got)
-	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("Err = %v after valid round-trip", err)
 	}
@@ -107,19 +103,6 @@ func TestErrorLatches(t *testing.T) {
 	}
 	if r.Err() == nil {
 		t.Fatal("error did not latch")
-	}
-}
-
-func TestRawCopies(t *testing.T) {
-	var w Writer
-	src := []byte{1, 2, 3}
-	w.Raw(src)
-	r := NewReader(w.Bytes())
-	got := r.Raw()
-	got[0] = 99
-	r2 := NewReader(w.Bytes())
-	if again := r2.Raw(); again[0] != 1 {
-		t.Fatal("Raw returned aliased backing storage")
 	}
 }
 

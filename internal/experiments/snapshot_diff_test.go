@@ -7,7 +7,6 @@ import (
 
 	"timeprotection/internal/hw"
 	"timeprotection/internal/snapshot"
-	"timeprotection/internal/store"
 	"timeprotection/internal/trace"
 )
 
@@ -19,10 +18,7 @@ func snapshotTestConfig() Config {
 
 func restoreSnapshots(t *testing.T) {
 	t.Helper()
-	t.Cleanup(func() {
-		snapshot.AttachStore(nil)
-		snapshot.Reset()
-	})
+	t.Cleanup(snapshot.Reset)
 }
 
 // coldConfig returns cfg observed by an event-retaining sink: the
@@ -47,12 +43,11 @@ func assertStayedCold(t *testing.T, before snapshot.Counters) {
 // TestArtefactSnapshotEquivalence is the differential gate for the
 // snapshot layer: on both platforms, every registry artefact must
 // render byte-identically whether its machines are cold-booted (the
-// traced pass), forked from in-memory snapshots, or forked from
-// snapshots persisted through the durable store. Any bit of simulated
-// state the codec missed would diverge timings and change these bytes.
+// traced pass) or forked from snapshots. Any bit of simulated state the
+// codec missed would diverge timings and change these bytes.
 func TestArtefactSnapshotEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders the whole registry four times per platform")
+		t.Skip("renders the whole registry twice per platform")
 	}
 	if raceEnabled {
 		// Byte-equality is a determinism check, not a race check; the
@@ -80,7 +75,6 @@ func TestArtefactSnapshotEquivalence(t *testing.T) {
 				return out
 			}
 
-			snapshot.AttachStore(nil)
 			snapshot.Reset()
 			before := snapshot.Stats()
 			cold := renderAll("cold", coldConfig(cfg))
@@ -88,30 +82,12 @@ func TestArtefactSnapshotEquivalence(t *testing.T) {
 
 			forked := renderAll("forked", cfg)
 
-			st, err := store.Open(t.TempDir(), store.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			snapshot.AttachStore(st)
-			snapshot.Reset()
-			renderAll("populate", cfg) // capture snapshots into the store
-			before = snapshot.Stats()
-			snapshot.Reset() // drop the in-memory registry; disk survives
-			disk := renderAll("disk", cfg)
-			if got := snapshot.Stats(); got.DiskHits == before.DiskHits {
-				t.Error("disk pass loaded no snapshots from the store")
-			}
-
 			if len(cold) == 0 {
 				t.Fatal("no artefacts rendered")
 			}
 			for name, want := range cold {
 				if forked[name] != want {
 					t.Errorf("%s: forked output differs from cold boot", name)
-				}
-				if disk[name] != want {
-					t.Errorf("%s: disk-forked output differs from cold boot", name)
 				}
 			}
 		})

@@ -35,10 +35,27 @@ func makePTE(frame PFN, global bool) pte {
 const l2TableSpan = 512
 
 // pageTable is one second-level table: the frame it occupies and its
-// entries, indexed by the low nine bits of the VPN.
+// entries, indexed by the low nine bits of the VPN. A decoded table no
+// page has landed in shares noPTEs, so a snapshot's table list costs
+// no entry arrays; Map gives such a table its own entries before it
+// writes one.
 type pageTable struct {
 	frame PFN
-	ptes  [l2TableSpan]pte
+	ptes  *[l2TableSpan]pte
+}
+
+// noPTEs is the entry array of every decoded table that no page has
+// landed in. Nothing writes it: Map and the decoder replace it before
+// storing an entry, and Unmap clears only present entries.
+var noPTEs [l2TableSpan]pte
+
+// own returns t's entries, replacing the shared empty array with t's
+// own first.
+func (t *pageTable) own() *[l2TableSpan]pte {
+	if t.ptes == &noPTEs {
+		t.ptes = new([l2TableSpan]pte)
+	}
+	return t.ptes
 }
 
 // AddressSpace is a two-level page table plus an ASID. Page-table frames
@@ -111,10 +128,10 @@ func (as *AddressSpace) Map(vaddr uint64, frame PFN, global bool) error {
 		if err != nil {
 			return fmt.Errorf("page table for vpn %#x: %w", vpn, err)
 		}
-		t = &pageTable{frame: f}
+		t = &pageTable{frame: f, ptes: new([l2TableSpan]pte)}
 		as.tables[top] = t
 	}
-	e := &t.ptes[vpn%l2TableSpan]
+	e := &t.own()[vpn%l2TableSpan]
 	if *e == 0 {
 		as.npages++
 	}
@@ -213,7 +230,7 @@ func (as *AddressSpace) Frames() []PFN {
 		out = append(out, as.tables[top].frame)
 	}
 	for _, top := range tops {
-		for _, e := range &as.tables[top].ptes {
+		for _, e := range as.tables[top].ptes {
 			if e != 0 {
 				out = append(out, e.frame())
 			}

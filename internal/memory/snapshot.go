@@ -138,7 +138,7 @@ func (as *AddressSpace) EncodeState(w *enc.Writer) {
 	}
 	w.U64(uint64(as.npages))
 	for _, top := range tops {
-		for i, e := range &as.tables[top].ptes {
+		for i, e := range as.tables[top].ptes {
 			if e != 0 {
 				w.U64(top*l2TableSpan + uint64(i))
 				w.U64(uint64(e.frame()))
@@ -150,8 +150,12 @@ func (as *AddressSpace) EncodeState(w *enc.Writer) {
 
 // DecodeAddressSpace reconstructs an address space backed by pool from
 // EncodeState output. It rejects a page whose table was not decoded, a
-// table or page listed twice, and a frame no page-table entry can hold.
-// Counts are checked against the bytes left, never trusted as sizes.
+// table or page listed twice, a table frame outside the pool's
+// allocator or shared by two tables, and a frame no page-table entry
+// can hold. Counts are checked against the bytes left, never trusted as
+// sizes, and a table's 4 KiB of entries is allocated only when a page
+// lands in it, so every such allocation costs the input a table and a
+// page entry, at least five bytes.
 func DecodeAddressSpace(pool *Pool, r *enc.Reader) (*AddressSpace, error) {
 	as := &AddressSpace{
 		asid:   uint16(r.U64()),
@@ -166,15 +170,23 @@ func DecodeAddressSpace(pool *Pool, r *enc.Reader) (*AddressSpace, error) {
 	if nt > uint64(r.Remaining()) {
 		return nil, fmt.Errorf("memory: %d page tables in %d bytes", nt, r.Remaining())
 	}
+	a := pool.alloc
+	frames := make(map[PFN]bool)
 	for i := uint64(0); i < nt; i++ {
 		top, f := r.U64(), PFN(r.U64())
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if as.tables[top] != nil {
+		switch {
+		case as.tables[top] != nil:
 			return nil, fmt.Errorf("memory: page table %#x listed twice", top)
+		case f < a.base || f-a.base >= PFN(a.total):
+			return nil, fmt.Errorf("memory: page table %#x in frame %d outside [%d,%d)", top, f, a.base, a.base+PFN(a.total))
+		case frames[f]:
+			return nil, fmt.Errorf("memory: page table %#x shares frame %d", top, f)
 		}
-		as.tables[top] = &pageTable{frame: f}
+		frames[f] = true
+		as.tables[top] = &pageTable{frame: f, ptes: &noPTEs}
 	}
 	np := r.U64()
 	if err := r.Err(); err != nil {
@@ -197,7 +209,7 @@ func DecodeAddressSpace(pool *Pool, r *enc.Reader) (*AddressSpace, error) {
 		case f > maxFrame:
 			return nil, fmt.Errorf("memory: page %#x maps frame %#x beyond %#x", vpn, f, maxFrame)
 		}
-		t.ptes[vpn%l2TableSpan] = makePTE(f, g)
+		t.own()[vpn%l2TableSpan] = makePTE(f, g)
 	}
 	as.npages = int(np)
 	return as, r.Err()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"timeprotection/internal/enc"
@@ -72,6 +73,15 @@ func TestDecodeAddressSpaceRejectsCorruptBlobs(t *testing.T) {
 			tables: [][2]uint64{{0, 8}}, ntables: 1,
 			pages: [][3]uint64{{5, uint64(maxFrame) + 1, 0}}, npages: 1,
 		}, false},
+		{"page table beyond the allocator", asBlob{
+			tables: [][2]uint64{{0, 64}}, ntables: 1,
+		}, false},
+		{"page tables sharing a frame", asBlob{
+			tables: [][2]uint64{{0, 8}, {1, 8}}, ntables: 2,
+		}, false},
+		{"10,000 page tables on one frame", asBlob{
+			tables: sameFrameTables(10000, 8), ntables: 10000,
+		}, false},
 		{"table count beyond the blob", asBlob{ntables: 1 << 62}, false},
 		{"page count beyond the blob", asBlob{
 			tables: [][2]uint64{{0, 8}}, ntables: 1, npages: 1 << 62,
@@ -98,6 +108,57 @@ func TestDecodeAddressSpaceRejectsCorruptBlobs(t *testing.T) {
 				t.Errorf("%s: %d pages mapped, want %d", tc.name, as.MappedPages(), len(tc.blob.pages))
 			}
 		}()
+	}
+}
+
+// sameFrameTables returns n page tables at top-level indices 0..n-1,
+// every one in frame f.
+func sameFrameTables(n int, f uint64) [][2]uint64 {
+	ts := make([][2]uint64, n)
+	for i := range ts {
+		ts[i] = [2]uint64{uint64(i), f}
+	}
+	return ts
+}
+
+// TestDecodedEmptyTablesAllocateNoEntries: a table no page lands in
+// shares the empty entry array, so a blob that lists many tables and
+// no pages decodes into bookkeeping only, not 4 KiB per table. The
+// first page mapped into such a table gives it its own entries.
+func TestDecodedEmptyTablesAllocateNoEntries(t *testing.T) {
+	const n = 10000
+	pool := NewPool(NewFrameAllocator(0, 2*n, 8), nil)
+	ts := make([][2]uint64, n)
+	for i := range ts {
+		ts[i] = [2]uint64{uint64(i), uint64(n + i)}
+	}
+	b := asBlob{tables: ts, ntables: n}.bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	as, err := DecodeAddressSpace(pool, enc.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(b)); got > limit {
+		t.Fatalf("decoding %d empty tables from %d bytes allocated %d bytes, want at most %d", n, len(b), got, limit)
+	}
+	if err := as.Map(3*PageSize, 5, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Map(512*PageSize, 6, false); err != nil {
+		t.Fatal(err)
+	}
+	if noPTEs != ([l2TableSpan]pte{}) {
+		t.Fatal("Map wrote the shared empty entry array")
+	}
+	for vpn, want := range map[uint64]PFN{3: 5, 512: 6} {
+		if tr, ok := as.Translate(vpn * PageSize); !ok || tr.Frame != want {
+			t.Fatalf("vpn %d: translation %+v, %v; want frame %d", vpn, tr, ok, want)
+		}
+	}
+	if _, ok := as.Translate(4 * PageSize); ok {
+		t.Fatal("an unmapped page in a decoded table translates")
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"timeprotection/internal/cluster"
 	"timeprotection/internal/experiments"
 	"timeprotection/internal/hw"
+	"timeprotection/internal/session"
+	"timeprotection/internal/store"
 )
 
 // singleMemberCluster builds a cluster whose ring contains only this
@@ -161,6 +163,65 @@ func TestEntryQueryRoundTrip(t *testing.T) {
 	defer mu.Unlock()
 	if len(ran) != len(entries) {
 		t.Errorf("runner saw %d entries, want %d", len(ran), len(entries))
+	}
+}
+
+// TestReplicaAcceptsOnlyReplicatedKeyShapes: a replica PUT lands in the
+// store only under the two key shapes replication sends, an artefact
+// content key and a session journal key. Any other key — a prefixed
+// content hash such as snap-<hex> among them — is a 400 and stores
+// nothing.
+func TestReplicaAcceptsOnlyReplicatedKeyShapes(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, ts := newTestServer(t, Options{
+		Parallel: 1, Store: st,
+		Runner:  func(e experiments.PlanEntry) (string, error) { return "", nil },
+		Cluster: singleMemberCluster(t),
+	})
+	put := func(key string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+cluster.ReplicaPathPrefix+key, strings.NewReader("replica\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("replica PUT %q: %v", key, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	content := store.Key("table2|haswell")
+	rejected := []string{
+		strings.ToUpper(content),
+		content[:63],
+		content + "0",
+		"sess-",
+		"sess-.hidden",
+		"journal",
+	}
+	for _, prefix := range []string{"snap", "art", "kern"} {
+		rejected = append(rejected, prefix+"-"+content[:56])
+	}
+	for _, key := range rejected {
+		if code := put(key); code != http.StatusBadRequest {
+			t.Errorf("replica PUT %q: status %d, want 400", key, code)
+		}
+	}
+	if n := st.Len(); n != 0 {
+		t.Fatalf("rejected keys left %d store entries", n)
+	}
+	for _, key := range []string{content, session.Key("s-127-0-0-1-9101-k3x-1")} {
+		if code := put(key); code != http.StatusNoContent {
+			t.Errorf("replica PUT %q: status %d, want 204", key, code)
+		}
+		if b, ok := st.Get(key); !ok || string(b) != "replica\n" {
+			t.Errorf("replica PUT %q stored %q, %v", key, b, ok)
+		}
 	}
 }
 

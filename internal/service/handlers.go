@@ -375,9 +375,16 @@ func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
 // checksums verify disk integrity, not that the bytes match the key.
 // That trust is the documented -peers trade-off, which is why this
 // endpoint is registered only on clustered deployments — a single
-// daemon exposes no write surface at all.
+// daemon exposes no write surface at all. Only the two key shapes
+// replication sends are accepted — artefact content keys (store.Key)
+// and session journal keys (session.Key) — so a peer can write nothing
+// else into this shard's store.
 func (s *Server) handleClusterReplica(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
+	if !store.IsKey(key) && !session.IsKey(key) {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "replica key %q is neither an artefact nor a session journal key", key)
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "replica body: %v", err)

@@ -446,7 +446,7 @@ func TestMetriczSnapshotSection(t *testing.T) {
 		}
 	}
 	after := snapshotSection()
-	for _, f := range []string{"captures", "forks", "fallbacks", "disk_hits", "memo_hits"} {
+	for _, f := range []string{"captures", "forks", "fallbacks", "memo_hits"} {
 		if _, ok := after[f].(float64); !ok {
 			t.Errorf("snapshot.%s missing: %v", f, after)
 		}

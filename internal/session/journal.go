@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"timeprotection/internal/channel"
 )
@@ -20,6 +21,12 @@ type Journal interface {
 
 // Key returns the durable-store key a session journals under.
 func Key(id string) string { return "sess-" + id }
+
+// IsKey reports whether key is Key of a valid session ID.
+func IsKey(key string) bool {
+	id, ok := strings.CutPrefix(key, "sess-")
+	return ok && validID(id) == nil
+}
 
 // IDPrefixForAddr derives a cluster-unique session ID prefix from a
 // shard's self address, so IDs minted by different shards never

@@ -8,21 +8,19 @@ import (
 	"timeprotection/internal/enc"
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
-	"timeprotection/internal/trace"
 )
 
 // fuzzPlatforms are the platforms every fuzz input is decoded for: a
-// persisted snapshot does not name its platform, the key it is stored
-// under does.
+// captured state does not name its platform, the configuration key it
+// is registered under does.
 var fuzzPlatforms = []hw.Platform{hw.Haswell(), hw.Sabre()}
 
-// captureBlobs returns persisted-form snapshots of a protected
-// two-domain system and of a bare kernel booted with clone support, on
-// plat: real captures, the fuzz corpus seeds.
-func captureBlobs(tb testing.TB, plat hw.Platform) (sys, kern []byte) {
+// captureStates returns the encoded states of a protected two-domain
+// system and of a bare kernel booted with clone support, on plat: real
+// captures, the fuzz corpus seeds.
+func captureStates(tb testing.TB, plat hw.Platform) (sys, kern []byte) {
 	tb.Helper()
-	sink := trace.NewSink(0)
-	s, err := core.NewSystem(core.Options{Platform: plat, Scenario: kernel.ScenarioProtected, Domains: 2, Tracer: sink})
+	s, err := core.NewSystem(core.Options{Platform: plat, Scenario: kernel.ScenarioProtected, Domains: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -30,8 +28,7 @@ func captureBlobs(tb testing.TB, plat hw.Platform) (sys, kern []byte) {
 	if err := s.EncodeState(&w); err != nil {
 		tb.Fatal(err)
 	}
-	d := deltasFrom(sink)
-	sys = blob(kindSystem, &d, w.Bytes())
+	sys = w.Bytes()
 	k, err := kernel.Boot(plat, kernel.Config{Scenario: kernel.ScenarioProtected, CloneSupport: true})
 	if err != nil {
 		tb.Fatal(err)
@@ -40,21 +37,18 @@ func captureBlobs(tb testing.TB, plat hw.Platform) (sys, kern []byte) {
 	if err := k.EncodeState(&w); err != nil {
 		tb.Fatal(err)
 	}
-	var none bootDeltas
-	return sys, blob(kindKernel, &none, w.Bytes())
+	return sys, w.Bytes()
 }
 
-// decodeBlob runs b through the decoders a fork or a disk hit uses:
-// parseBlob, then core.DecodeSystem or kernel.DecodeKernel for plat.
-func decodeBlob(plat hw.Platform, b []byte) error {
-	if _, state, err := parseBlob(kindSystem, b); err == nil {
-		_, err = core.DecodeSystem(core.Options{Platform: plat}, enc.NewReader(state))
-		return err
-	}
-	_, state, err := parseBlob(kindKernel, b)
-	if err == nil {
-		_, err = kernel.DecodeKernel(plat, enc.NewReader(state))
-	}
+// decodeSystem and decodeKernel are the decoders a fork runs on a
+// registered state.
+func decodeSystem(plat hw.Platform, b []byte) error {
+	_, err := core.DecodeSystem(core.Options{Platform: plat}, enc.NewReader(b))
+	return err
+}
+
+func decodeKernel(plat hw.Platform, b []byte) error {
+	_, err := kernel.DecodeKernel(plat, enc.NewReader(b))
 	return err
 }
 
@@ -69,39 +63,45 @@ func allocated(fn func()) uint64 {
 
 // fuzzBytesPerInputByte bounds what one input byte may make a decoder
 // allocate beyond a machine's fixed cost. The largest legitimate ratio
-// is a page table: two bytes (its index and frame) decode into a
-// 4 KiB entry array.
-const fuzzBytesPerInputByte = 4096
+// is a page table's entry array: a table no page has landed in shares
+// an empty one, so each 4 KiB array costs the input a table entry and
+// a page entry, at least five bytes (about 820 bytes per byte, with
+// the table's bookkeeping).
+const fuzzBytesPerInputByte = 1024
 
 // FuzzDecodeSnapshot feeds arbitrary bytes through the decoders that
-// read persisted snapshots — bytes the process did not produce. The
-// property: no panic, and no input makes a decode allocate more than
-// twice what decoding a real capture of the same platform allocates,
-// plus a constant per input byte. Counts are checked against their
-// bounds before they size an allocation, and run-length frame lists
-// against the machine's frame count, so no short input can claim a
-// huge machine.
+// turn a registered state back into a machine. The registry decodes
+// only states its own process encoded, so these bytes never come from
+// outside; the fuzz keeps the decoders strict anyway, because a codec
+// bug must surface as an error. The property: no panic, and no input
+// makes a decode allocate more than twice what decoding a real capture
+// of the same platform allocates, plus a constant per input byte.
+// Counts are checked against their bounds before they size an
+// allocation, frame lists against the machine's frame count, and a
+// page table's entries are allocated only when a page lands in it, so
+// no short input can claim a huge machine.
 func FuzzDecodeSnapshot(f *testing.F) {
 	fixed := make([]uint64, len(fuzzPlatforms))
 	for i, plat := range fuzzPlatforms {
-		sys, kern := captureBlobs(f, plat)
+		sys, kern := captureStates(f, plat)
 		f.Add(sys)
 		f.Add(kern)
-		for _, b := range [][]byte{sys, kern} {
-			var err error
-			if n := allocated(func() { err = decodeBlob(plat, b) }); n > fixed[i] {
-				fixed[i] = n
-			}
-			if err != nil {
-				f.Fatalf("%s: a real capture does not decode: %v", plat.Name, err)
-			}
+		var errSys, errKern error
+		fixed[i] = max(
+			allocated(func() { errSys = decodeSystem(plat, sys) }),
+			allocated(func() { errKern = decodeKernel(plat, kern) }),
+		)
+		if errSys != nil || errKern != nil {
+			f.Fatalf("%s: a real capture does not decode: %v, %v", plat.Name, errSys, errKern)
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for i, plat := range fuzzPlatforms {
 			limit := 2*fixed[i] + fuzzBytesPerInputByte*uint64(len(b))
-			if n := allocated(func() { _ = decodeBlob(plat, b) }); n > limit {
-				t.Fatalf("%s: decoding %d bytes allocated %d bytes, bound %d", plat.Name, len(b), n, limit)
+			for _, decode := range []func(hw.Platform, []byte) error{decodeSystem, decodeKernel} {
+				if n := allocated(func() { _ = decode(plat, b) }); n > limit {
+					t.Fatalf("%s: decoding %d bytes allocated %d bytes, bound %d", plat.Name, len(b), n, limit)
+				}
 			}
 		}
 	})

@@ -4,9 +4,12 @@
 // spaces, allocator free lists, DRAM timing state — is frozen into an
 // immutable byte snapshot keyed by its configuration; every subsequent
 // request for the same configuration decodes a fresh, fully independent
-// copy instead of re-running boot and kernel cloning. Snapshots also
-// serialize through an attached artefact store, so separate processes
-// (tpserved, tpbench -resume) skip boot across restarts.
+// copy instead of re-running boot and kernel cloning. Snapshots live
+// only in the process that captured them: nothing persists them or
+// accepts them from outside, so the registry decodes only bytes this
+// process encoded, and a state that fails to decode is a codec bug,
+// returned as an error rather than hidden behind a cold boot. A
+// restarted process captures each configuration again on first use.
 //
 // Correctness model: the codec (EncodeState/DecodeState across the
 // cache, hw, memory, kernel and core layers) captures every bit of
@@ -32,10 +35,7 @@ package snapshot
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"timeprotection/internal/core"
@@ -46,59 +46,17 @@ import (
 	"timeprotection/internal/trace"
 )
 
-// schemaVersion is bumped whenever any layer's EncodeState format
-// changes; persisted snapshots with a different version decode as
-// misses and are re-captured.
-const schemaVersion = 4
-
-var magic = [6]byte{'T', 'P', 'S', 'N', 'A', 'P'}
-
-// Snapshot kinds.
-const (
-	kindSystem = 1 // core.System
-	kindKernel = 2 // bare kernel.Kernel
-)
-
-// Store is the persistence hook: a durable byte store such as
-// *store.Store. Get misses are recomputed; Put errors are ignored
-// (persistence is an optimisation, never a correctness dependency).
-type Store interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, body []byte) error
-}
-
-var (
-	storeMu  sync.Mutex
-	attached Store
-)
-
-// AttachStore wires a durable store into the snapshot cache (nil
-// detaches). Snapshots are written under content-addressed keys
-// derived from the configuration key and schema version.
-func AttachStore(s Store) {
-	storeMu.Lock()
-	attached = s
-	storeMu.Unlock()
-}
-
-func currentStore() Store {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	return attached
-}
-
 // Counters exposes what the snapshot layer actually did, for tests,
 // the -snapshot-stats flag and tpserved's /metricz.
 type Counters struct {
 	Captures  uint64 `json:"captures"`  // cold boots performed to populate a snapshot
 	Forks     uint64 `json:"forks"`     // systems decoded from a snapshot
-	Fallbacks uint64 `json:"fallbacks"` // cold boots because forking was impossible
-	DiskHits  uint64 `json:"disk_hits"` // snapshots loaded from the attached store
+	Fallbacks uint64 `json:"fallbacks"` // cold boots for an event-retaining sink
 	MemoHits  uint64 `json:"memo_hits"` // memoized run results served
 }
 
 var counters struct {
-	captures, forks, fallbacks, diskHits, memoHits atomic.Uint64
+	captures, forks, fallbacks, memoHits atomic.Uint64
 }
 
 // Stats returns a snapshot of the layer's counters.
@@ -107,7 +65,6 @@ func Stats() Counters {
 		Captures:  counters.captures.Load(),
 		Forks:     counters.forks.Load(),
 		Fallbacks: counters.fallbacks.Load(),
-		DiskHits:  counters.diskHits.Load(),
 		MemoHits:  counters.memoHits.Load(),
 	}
 }
@@ -153,79 +110,6 @@ func (d *bootDeltas) applyTo(s *trace.Sink) {
 	s.PadCycles += d.padCycles
 }
 
-func (d *bootDeltas) encode(w *enc.Writer) {
-	for u := range d.units {
-		s := &d.units[u]
-		for _, v := range [...]uint64{
-			s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks,
-			s.Flushes, s.FlushedLines, s.Issues, s.Cycles, s.WritebackCycles,
-		} {
-			w.U64(v)
-		}
-	}
-	w.U64(d.padCount)
-	w.U64(d.padCycles)
-}
-
-func (d *bootDeltas) decode(r *enc.Reader) error {
-	for u := range d.units {
-		s := &d.units[u]
-		for _, p := range [...]*uint64{
-			&s.Accesses, &s.Hits, &s.Misses, &s.Evictions, &s.Writebacks,
-			&s.Flushes, &s.FlushedLines, &s.Issues, &s.Cycles, &s.WritebackCycles,
-		} {
-			*p = r.U64()
-		}
-	}
-	d.padCount = r.U64()
-	d.padCycles = r.U64()
-	return r.Err()
-}
-
-// blob assembles header + deltas + state into the persisted form.
-func blob(kind byte, d *bootDeltas, state []byte) []byte {
-	var w enc.Writer
-	for _, b := range magic {
-		w.U64(uint64(b))
-	}
-	w.U64(schemaVersion)
-	w.U64(uint64(kind))
-	d.encode(&w)
-	w.Raw(state)
-	return w.Bytes()
-}
-
-// parseBlob validates the header and splits a persisted snapshot.
-func parseBlob(kind byte, b []byte) (*bootDeltas, []byte, error) {
-	r := enc.NewReader(b)
-	for _, want := range magic {
-		if byte(r.U64()) != want {
-			return nil, nil, fmt.Errorf("snapshot: bad magic")
-		}
-	}
-	if v := r.U64(); v != schemaVersion {
-		return nil, nil, fmt.Errorf("snapshot: schema %d, want %d", v, schemaVersion)
-	}
-	if k := byte(r.U64()); k != kind {
-		return nil, nil, fmt.Errorf("snapshot: kind %d, want %d", k, kind)
-	}
-	var d bootDeltas
-	if err := d.decode(r); err != nil {
-		return nil, nil, err
-	}
-	state := r.Raw()
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	return &d, state, nil
-}
-
-// storeKey derives a durable-store key from the configuration key.
-func storeKey(key string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("snapshot|v%d|%s", schemaVersion, key)))
-	return "snap-" + hex.EncodeToString(sum[:])[:56]
-}
-
 // entry is one populated snapshot in the process-wide registry.
 type entry struct {
 	deltas *bootDeltas
@@ -249,37 +133,23 @@ func RegistryStats() memo.Stats { return registry.Stats() }
 func exact(w *enc.Writer) []byte { return bytes.Clone(w.Bytes()) }
 
 // Reset drops every cached snapshot and memoized run result, so the
-// next request captures or loads from the attached store again (which
-// Reset does not touch). Benchmarks and tests use it to time and check
-// those paths.
+// next request for a configuration captures it again. Benchmarks and
+// tests use it to time and check the capture path.
 func Reset() {
 	registry.Reset()
 	runs.Reset()
 }
 
-// load returns the snapshot for key: from the registry, else from the
-// attached store when a valid persisted snapshot exists, otherwise by a
+// load returns the snapshot for key: from the registry, else by a
 // capture cold boot via capture(), which must return the encoded state
 // and the boot's observability deltas.
-func load(kind byte, key string, capture func() (*bootDeltas, []byte, error)) (*entry, error) {
+func load(key string, capture func() (*bootDeltas, []byte, error)) (*entry, error) {
 	e, _, err := registry.Do(key, func() (*entry, error) {
-		sk := storeKey(key)
-		if st := currentStore(); st != nil {
-			if b, ok := st.Get(sk); ok {
-				if d, state, err := parseBlob(kind, b); err == nil {
-					counters.diskHits.Add(1)
-					return &entry{deltas: d, state: state}, nil
-				}
-			}
-		}
 		d, state, err := capture()
 		if err != nil {
 			return nil, err
 		}
 		counters.captures.Add(1)
-		if st := currentStore(); st != nil {
-			_ = st.Put(sk, blob(kind, d, state))
-		}
 		return &entry{deltas: d, state: state}, nil
 	})
 	return e, err
@@ -314,7 +184,8 @@ func ForkForStreaming(opts core.Options) (*core.System, error) {
 }
 
 func forkSystem(opts core.Options) (*core.System, error) {
-	e, err := load(kindSystem, SystemKey(opts), func() (*bootDeltas, []byte, error) {
+	key := SystemKey(opts)
+	e, err := load(key, func() (*bootDeltas, []byte, error) {
 		bootOpts := opts
 		bootOpts.Tracer = trace.NewSink(0)
 		sys, err := core.NewSystem(bootOpts)
@@ -335,14 +206,18 @@ func forkSystem(opts core.Options) (*core.System, error) {
 	}
 	sys, err := core.DecodeSystem(opts, enc.NewReader(e.state))
 	if err != nil {
-		// A snapshot that no longer decodes (schema drift within a
-		// process should be impossible, but stay safe): boot cold.
-		counters.fallbacks.Add(1)
-		return core.NewSystem(opts)
+		return nil, decodeError(key, err)
 	}
 	e.deltas.applyTo(opts.Tracer)
 	counters.forks.Add(1)
 	return sys, nil
+}
+
+// decodeError reports a snapshot this process captured that does not
+// decode. The registry holds only states encoded in this process, so
+// the codec is at fault; booting cold instead would hide that.
+func decodeError(key string, err error) error {
+	return fmt.Errorf("snapshot: captured state of %s does not decode: %w", key, err)
 }
 
 // BootKernel is the snapshot-aware replacement for kernel.Boot for
@@ -350,19 +225,16 @@ func forkSystem(opts core.Options) (*core.System, error) {
 // attached to the returned kernel (cold or forked) when non-nil; an
 // event-retaining sink forces a cold boot, as in NewSystem.
 func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.Kernel, error) {
-	coldBoot := func() (*kernel.Kernel, error) {
+	if sink.EventsEnabled() {
+		counters.fallbacks.Add(1)
 		k, err := kernel.Boot(plat, cfg)
-		if err == nil && sink != nil {
+		if err == nil {
 			k.AttachTracer(sink)
 		}
 		return k, err
 	}
-	if sink.EventsEnabled() {
-		counters.fallbacks.Add(1)
-		return coldBoot()
-	}
 	key := KernelKey(plat, cfg)
-	e, err := load(kindKernel, key, func() (*bootDeltas, []byte, error) {
+	e, err := load(key, func() (*bootDeltas, []byte, error) {
 		probe := trace.NewSink(0)
 		k, err := kernel.Boot(plat, cfg)
 		if err != nil {
@@ -381,8 +253,7 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 	}
 	k, err := kernel.DecodeKernel(plat, enc.NewReader(e.state))
 	if err != nil {
-		counters.fallbacks.Add(1)
-		return coldBoot()
+		return nil, decodeError(key, err)
 	}
 	if sink != nil {
 		k.AttachTracer(sink)

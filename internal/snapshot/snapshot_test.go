@@ -13,7 +13,6 @@ import (
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/snapshot"
-	"timeprotection/internal/store"
 	"timeprotection/internal/trace"
 )
 
@@ -21,11 +20,7 @@ import (
 func reset(t *testing.T) {
 	t.Helper()
 	snapshot.Reset()
-	snapshot.AttachStore(nil)
-	t.Cleanup(func() {
-		snapshot.Reset()
-		snapshot.AttachStore(nil)
-	})
+	t.Cleanup(snapshot.Reset)
 }
 
 func encodeSystem(t *testing.T, s *core.System) []byte {
@@ -148,155 +143,6 @@ func TestKernelForkMatchesColdBoot(t *testing.T) {
 				t.Fatal("forked kernel sink differs from cold boot")
 			}
 		})
-	}
-}
-
-// TestStoreRoundTrip: snapshots persist through an attached store, and
-// a fresh process (simulated by Reset) forks from disk with identical
-// state.
-func TestStoreRoundTrip(t *testing.T) {
-	reset(t)
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	snapshot.AttachStore(st)
-
-	base := snapshot.Stats()
-	opts := core.Options{Platform: hw.Haswell(), Scenario: kernel.ScenarioProtected}
-	first, err := snapshot.NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := snapshot.Stats()
-	if before.Captures != base.Captures+1 {
-		t.Fatal("first boot did not capture")
-	}
-
-	snapshot.Reset() // drop the in-memory registry; the store survives
-	second, err := snapshot.NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := snapshot.Stats()
-	if after.DiskHits != before.DiskHits+1 {
-		t.Fatalf("expected a disk hit after Reset, got %+v -> %+v", before, after)
-	}
-	if after.Captures != before.Captures {
-		t.Fatal("re-captured despite persisted snapshot")
-	}
-	if !bytes.Equal(encodeSystem(t, first), encodeSystem(t, second)) {
-		t.Fatal("disk round-trip changed system state")
-	}
-}
-
-// memStore is an in-memory snapshot.Store for corruption tests.
-type memStore struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-func (s *memStore) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.m[key]
-	return b, ok
-}
-
-func (s *memStore) Put(key string, body []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = map[string][]byte{}
-	}
-	s.m[key] = append([]byte(nil), body...)
-	return nil
-}
-
-// TestCorruptStoreEntryRecaptures: a damaged persisted snapshot must
-// degrade to a re-capture, never an error or wrong state.
-func TestCorruptStoreEntryRecaptures(t *testing.T) {
-	reset(t)
-	st := &memStore{}
-	snapshot.AttachStore(st)
-
-	opts := core.Options{Platform: hw.Sabre(), Scenario: kernel.ScenarioRaw}
-	first, err := snapshot.NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite every stored entry with garbage (the snapshot store key
-	// is not exported; clobbering all keys is strictly harsher).
-	st.mu.Lock()
-	for k := range st.m {
-		st.m[k] = []byte("not a snapshot")
-	}
-	st.mu.Unlock()
-	snapshot.Reset()
-	before := snapshot.Stats()
-	second, err := snapshot.NewSystem(opts)
-	if err != nil {
-		t.Fatalf("corrupt store entry surfaced as error: %v", err)
-	}
-	if snapshot.Stats().Captures != before.Captures+1 {
-		t.Fatal("corrupt entry did not trigger re-capture")
-	}
-	if !bytes.Equal(encodeSystem(t, first), encodeSystem(t, second)) {
-		t.Fatal("re-captured state differs")
-	}
-}
-
-// TestSchemaMismatchRecaptures: a persisted snapshot that carries
-// another schema version is recaptured, never decoded, even when it sits
-// under the current store key and its payload would otherwise parse.
-func TestSchemaMismatchRecaptures(t *testing.T) {
-	reset(t)
-	st := &memStore{}
-	snapshot.AttachStore(st)
-	opts := core.Options{Platform: hw.Haswell(), Scenario: kernel.ScenarioRaw}
-	if _, err := snapshot.NewSystem(opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.m) != 1 {
-		t.Fatalf("store holds %d entries, want 1", len(st.m))
-	}
-	var key string
-	var good []byte
-	for k, b := range st.m {
-		key, good = k, b
-	}
-	// The header is six magic bytes, then the schema version, each a
-	// one-byte varint.
-	if !bytes.HasPrefix(good, []byte("TPSNAP")) || good[6] == 0 || good[6] >= 0x80 {
-		t.Fatalf("unexpected snapshot header % x", good[:7])
-	}
-	stale := append([]byte(nil), good...)
-	stale[6]--
-
-	// Control: the blob as written is served from the store.
-	snapshot.Reset()
-	before := snapshot.Stats()
-	if _, err := snapshot.NewSystem(opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshot.Stats(); got.DiskHits != before.DiskHits+1 || got.Captures != before.Captures {
-		t.Fatalf("current-schema blob not loaded from the store: %+v -> %+v", before, got)
-	}
-
-	if err := st.Put(key, stale); err != nil {
-		t.Fatal(err)
-	}
-	snapshot.Reset()
-	before = snapshot.Stats()
-	if _, err := snapshot.NewSystem(opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshot.Stats(); got.Captures != before.Captures+1 || got.DiskHits != before.DiskHits {
-		t.Fatalf("stale-schema blob was not recaptured: %+v -> %+v", before, got)
-	}
-	if b, _ := st.Get(key); !bytes.Equal(b, good) {
-		t.Fatal("recapture did not rewrite the entry at the current schema")
 	}
 }
 

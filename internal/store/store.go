@@ -172,6 +172,20 @@ func Key(canonical string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// IsKey reports whether key has the shape Key returns: a sha256 in
+// lowercase hex.
+func IsKey(key string) bool {
+	if len(key) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Open creates or reopens a store directory, sweeping staging
 // leftovers, replaying the journal, verifying and quarantining
 // inconsistent entries, and compacting the journal. A damaged store
