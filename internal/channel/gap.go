@@ -117,8 +117,12 @@ type FlushChannelResult struct {
 // process-wide (see memo.go).
 func RunFlushChannel(s Spec) (*FlushChannelResult, error) {
 	if s.memoizable() {
-		r, err := snapshot.Memo(s.memoKey("flush"), func() (*FlushChannelResult, error) {
-			return runFlushChannel(s)
+		r, err := snapshot.Memo(snapshot.KeyOf("channel", "flush", s), func() (*FlushChannelResult, error) {
+			r, err := runFlushChannel(s)
+			if err != nil {
+				return nil, err
+			}
+			return &FlushChannelResult{Online: r.Online.Clone(), Offline: r.Offline.Clone()}, nil
 		})
 		if err != nil {
 			return nil, err

@@ -1,8 +1,6 @@
 package channel
 
 import (
-	"fmt"
-
 	"timeprotection/internal/mi"
 	"timeprotection/internal/snapshot"
 )
@@ -16,23 +14,27 @@ import (
 // Every caller receives an independent Dataset clone, so the shared
 // memoized value is never mutated (the Dataset grouping memo is lazy).
 
-// memoizable reports whether the spec describes a pure, keyable run.
+// memoizable reports whether the spec describes a pure, keyable run:
+// with Tracer and ConfigureSystem nil the %+v rendering of the Spec,
+// which snapshot.KeyOf digests, is total and deterministic.
 func (s Spec) memoizable() bool {
 	return s.Tracer == nil && s.ConfigureSystem == nil && !s.ForkWithEvents
 }
 
-// memoKey builds the cache key. With Tracer and ConfigureSystem nil the
-// %+v rendering of the Spec is total and deterministic.
-func (s Spec) memoKey(kind string) string {
-	return fmt.Sprintf("channel|%s|%+v", kind, s)
-}
-
-// memoDataset wraps a dataset-producing run in snapshot.Memo.
+// memoDataset wraps a dataset-producing run in snapshot.Memo. The memo
+// retains a clone at the dataset's exact length, not the collecting
+// receiver's slices with their append slack.
 func memoDataset(s Spec, kind string, run func() (*mi.Dataset, error)) (*mi.Dataset, error) {
 	if !s.memoizable() {
 		return run()
 	}
-	ds, err := snapshot.Memo(s.memoKey(kind), run)
+	ds, err := snapshot.Memo(snapshot.KeyOf("channel", kind, s), func() (*mi.Dataset, error) {
+		ds, err := run()
+		if err != nil {
+			return nil, err
+		}
+		return ds.Clone(), nil
+	})
 	if err != nil {
 		return nil, err
 	}

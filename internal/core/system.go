@@ -70,10 +70,19 @@ type Domain struct {
 	Image *kernel.Image
 }
 
-// Normalized returns the options with every defaulted field resolved.
-// The snapshot layer keys its cache on normalized options so a caller
-// relying on defaults and one spelling them out share a snapshot.
-func (o Options) Normalized() Options { return o.withDefaults() }
+// BootShape returns the options that determine the booted machine:
+// every field resolved, without the tracer (a host attachment, not
+// simulated state) and without the run parameters TimesliceMicros and
+// PadMicros, which ApplyRunParams sets after boot. Options with the same
+// boot shape boot the same machine, so the snapshot layer captures one
+// machine per boot shape.
+func (o Options) BootShape() Options {
+	o = o.withDefaults()
+	o.Tracer = nil
+	o.TimesliceMicros = 0
+	o.PadMicros = 0
+	return o
+}
 
 // withDefaults resolves the defaulted Options fields. NewSystem and
 // DecodeSystem share it so a forked system records the same resolved
@@ -105,13 +114,13 @@ type System struct {
 // NewSystem boots a platform and partitions it into domains per the
 // scenario. Under ScenarioProtected this follows §3.3: split free memory
 // into coloured pools, clone a kernel into each domain's pool, and bind
-// each domain's process to its kernel image.
+// each domain's process to its kernel image. It boots the boot shape of
+// opts and then applies the run parameters (ApplyRunParams).
 func NewSystem(opts Options) (*System, error) {
 	opts = opts.withDefaults()
 	plat := opts.Platform
 	cfg := kernel.Config{
 		Scenario:        opts.Scenario,
-		TimesliceCycles: plat.MicrosToCycles(opts.TimesliceMicros),
 		CloneSupport:    opts.Scenario == kernel.ScenarioProtected,
 		StrictDomains:   opts.StrictDomains,
 		FuzzyClockGrain: opts.FuzzyClockGrainCycles,
@@ -162,9 +171,6 @@ func NewSystem(opts Options) (*System, error) {
 			if err != nil {
 				return nil, fmt.Errorf("domain %d clone: %w", i, err)
 			}
-			if opts.PadMicros > 0 {
-				img.SetSwitchPadding(plat.MicrosToCycles(opts.PadMicros))
-			}
 		} else if opts.ColourFraction > 0 && opts.ColourFraction < 1 {
 			// Reduced-cache baseline (Figure 7 "base" cases): the
 			// standard kernel with user memory restricted to a colour
@@ -187,7 +193,32 @@ func NewSystem(opts Options) (*System, error) {
 			c.Now = start
 		}
 	}
+	// The boot above built the boot shape; the run parameters follow,
+	// as they do on a fork of it.
+	if err := s.ApplyRunParams(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// ApplyRunParams sets the run parameters of s.Opts on a system that has
+// not run yet: the kernel's timeslice with each core's first tick, and,
+// under ScenarioProtected, the switch padding of every domain's kernel
+// image (the paper's §4.3 makes padding an attribute of the image). A
+// cold boot and a fork of the boot shape both end here, so the two
+// cannot disagree on them.
+func (s *System) ApplyRunParams() error {
+	plat := s.Opts.Platform
+	if err := s.K.SetTimeslice(plat.MicrosToCycles(s.Opts.TimesliceMicros)); err != nil {
+		return err
+	}
+	if s.Opts.Scenario == kernel.ScenarioProtected && s.Opts.PadMicros > 0 {
+		pad := plat.MicrosToCycles(s.Opts.PadMicros)
+		for _, d := range s.Domains {
+			d.Image.SetSwitchPadding(pad)
+		}
+	}
+	return nil
 }
 
 // Spawn creates a runnable thread in a domain.

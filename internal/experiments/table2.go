@@ -41,7 +41,7 @@ func Table2(cfg Config) (Table2Result, error) {
 		// Each measurement is deterministic in (platform, full); untraced
 		// runs are memoized, and the machine is forked either way.
 		if cfg.Tracer == nil {
-			r, err := snapshot.Memo(fmt.Sprintf("table2|%t|%+v", full, plat), func() ([2]float64, error) {
+			r, err := snapshot.Memo(snapshot.KeyOf("table2", full, plat), func() ([2]float64, error) {
 				d, i, err := measureFlush(plat, full, nil)
 				return [2]float64{d, i}, err
 			})

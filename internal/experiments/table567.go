@@ -127,7 +127,7 @@ func Table6(cfg Config) (Table6Result, error) {
 			var cell float64
 			var err error
 			if cfg.Tracer == nil {
-				cell, err = snapshot.Memo(fmt.Sprintf("table6|%d|%s|%+v", sc, w.name, plat), func() (float64, error) {
+				cell, err = snapshot.Memo(snapshot.KeyOf("table6", sc, w.name, plat), func() (float64, error) {
 					return table6Cell(plat, sc, w.bytes, w.exec, nil)
 				})
 			} else {
@@ -245,7 +245,7 @@ func Table7(cfg Config) (Table7Result, error) {
 	var cd [2]float64
 	var err error
 	if cfg.Tracer == nil {
-		cd, err = snapshot.Memo(fmt.Sprintf("table7|%+v", plat), func() ([2]float64, error) {
+		cd, err = snapshot.Memo(snapshot.KeyOf("table7", plat), func() ([2]float64, error) {
 			return table7CloneDestroy(plat, nil)
 		})
 	} else {

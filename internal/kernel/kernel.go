@@ -224,6 +224,29 @@ func (k *Kernel) BootImage() *Image { return k.Images[0] }
 // Timeslice returns the preemption period in cycles.
 func (k *Kernel) Timeslice() uint64 { return k.Cfg.TimesliceCycles }
 
+// SetTimeslice sets the preemption period of a kernel that has not
+// dispatched yet: the period and every core's first tick, exactly as
+// Boot would have set them from Config.TimesliceCycles (0 selects the
+// same default). Boot state does not depend on the period, so a kernel
+// booted with one period and set to another equals one booted with the
+// other. Once a core has ticked or dispatched a thread the period is
+// fixed and SetTimeslice fails.
+func (k *Kernel) SetTimeslice(cycles uint64) error {
+	if cycles == 0 {
+		cycles = k.M.Plat.MicrosToCycles(100)
+	}
+	for i, cs := range k.cores {
+		if cs.cur != nil || cs.nextTick != k.Cfg.TimesliceCycles {
+			return fmt.Errorf("kernel: core %d has run; the timeslice can no longer change", i)
+		}
+	}
+	k.Cfg.TimesliceCycles = cycles
+	for _, cs := range k.cores {
+		cs.nextTick = cycles
+	}
+	return nil
+}
+
 // CurrentThread returns the thread running on core (nil when idle).
 func (k *Kernel) CurrentThread(core int) *TCB { return k.cores[core].cur }
 

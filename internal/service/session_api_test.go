@@ -460,3 +460,28 @@ func TestSessionsDisabledWithoutRegistry(t *testing.T) {
 		t.Error("batch-only /metricz carries a sessions section")
 	}
 }
+
+// TestSessionPadsShareOneSnapshot: pad_micros is client input, and
+// padding is applied to a fork of the booted machine, not captured with
+// it. Sessions with 20 distinct pads hold one snapshot between them:
+// /metricz's snapshot.registry entries do not move after the first.
+func TestSessionPadsShareOneSnapshot(t *testing.T) {
+	_, base := newSessionServer(t, session.Options{}, Options{Parallel: 1})
+	registry := func() int {
+		_, raw := get(t, base+"/metricz")
+		var m Metrics
+		if err := json.Unmarshal([]byte(raw), &m); err != nil {
+			t.Fatalf("bad /metricz JSON: %v", err)
+		}
+		return m.Snapshot.Registry.Entries
+	}
+	var first int
+	for i := 0; i < 20; i++ {
+		createSession(t, base, fmt.Sprintf(`{"channel":"l1d","scenario":"protected","pad_micros":%v,"samples":4,"trace":"off"}`, 5+2.5*float64(i)))
+		if i == 0 {
+			first = registry()
+		} else if got := registry(); got != first {
+			t.Fatalf("session %d (pad %v) moved snapshot.registry entries from %d to %d", i, 5+2.5*float64(i), first, got)
+		}
+	}
+}

@@ -15,7 +15,7 @@ import "timeprotection/internal/memo"
 // most about 61 MB of state.
 const memoCapacity = 1024
 
-var runs = memo.New[string, any](memoCapacity, nil)
+var runs = memo.New[Key, any](memoCapacity, nil)
 
 // Memo returns the memoized result for key, computing it via compute on
 // first use. Concurrent callers for the same key block on a single
@@ -25,7 +25,7 @@ var runs = memo.New[string, any](memoCapacity, nil)
 // what is memoizable: every caller in this module computes directly
 // when a tracer observes the run, so traced runs re-earn their events
 // and counters.
-func Memo[T any](key string, compute func() (T, error)) (T, error) {
+func Memo[T any](key Key, compute func() (T, error)) (T, error) {
 	v, hit, err := runs.Do(key, func() (any, error) { return compute() })
 	if hit {
 		counters.memoHits.Add(1)

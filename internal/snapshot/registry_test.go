@@ -18,7 +18,7 @@ func TestUndecodableStateIsAnError(t *testing.T) {
 	t.Cleanup(Reset)
 	opts := core.Options{Platform: hw.Haswell(), Scenario: kernel.ScenarioRaw}
 	cfg := kernel.Config{Scenario: kernel.ScenarioRaw}
-	for _, key := range []string{SystemKey(opts), KernelKey(opts.Platform, cfg)} {
+	for _, key := range []Key{KeyOf("sys", opts.BootShape()), KeyOf("kern", opts.Platform, cfg)} {
 		if _, _, err := registry.Do(key, func() (*entry, error) {
 			return &entry{deltas: &bootDeltas{}, state: []byte("not a machine")}, nil
 		}); err != nil {

@@ -2,9 +2,11 @@
 // everywhere. A fully booted system — cache/TLB/predictor arrays,
 // prefetcher hidden state, kernel images and clone genealogy, address
 // spaces, allocator free lists, DRAM timing state — is frozen into an
-// immutable byte snapshot keyed by its configuration; every subsequent
-// request for the same configuration decodes a fresh, fully independent
-// copy instead of re-running boot and kernel cloning. Snapshots live
+// immutable byte snapshot keyed by the digest of its boot shape
+// (core.Options.BootShape); every subsequent request for the same boot
+// shape decodes a fresh, fully independent copy instead of re-running
+// boot and kernel cloning, then applies its own timeslice and switch
+// padding (core.System.ApplyRunParams). Snapshots live
 // only in the process that captured them: nothing persists them or
 // accepts them from outside, so the registry decodes only bytes this
 // process encoded, and a state that fails to decode is a codec bug,
@@ -121,7 +123,7 @@ type entry struct {
 // its singleflight, so concurrent requests for the same configuration
 // boot exactly one machine; a failed capture is not retained, and the
 // next request boots again.
-var registry = memo.New[string](memoCapacity, func(e *entry) int64 { return int64(len(e.state)) })
+var registry = memo.New[Key](memoCapacity, func(e *entry) int64 { return int64(len(e.state)) })
 
 // RegistryStats returns the snapshot registry's counters; Bytes is the
 // encoded machine state it retains.
@@ -143,7 +145,7 @@ func Reset() {
 // load returns the snapshot for key: from the registry, else by a
 // capture cold boot via capture(), which must return the encoded state
 // and the boot's observability deltas.
-func load(key string, capture func() (*bootDeltas, []byte, error)) (*entry, error) {
+func load(key Key, capture func() (*bootDeltas, []byte, error)) (*entry, error) {
 	e, _, err := registry.Do(key, func() (*entry, error) {
 		d, state, err := capture()
 		if err != nil {
@@ -184,9 +186,10 @@ func ForkForStreaming(opts core.Options) (*core.System, error) {
 }
 
 func forkSystem(opts core.Options) (*core.System, error) {
-	key := SystemKey(opts)
+	shape := opts.BootShape()
+	key := KeyOf("sys", shape)
 	e, err := load(key, func() (*bootDeltas, []byte, error) {
-		bootOpts := opts
+		bootOpts := shape
 		bootOpts.Tracer = trace.NewSink(0)
 		sys, err := core.NewSystem(bootOpts)
 		if err != nil {
@@ -208,6 +211,9 @@ func forkSystem(opts core.Options) (*core.System, error) {
 	if err != nil {
 		return nil, decodeError(key, err)
 	}
+	if err := sys.ApplyRunParams(); err != nil {
+		return nil, err
+	}
 	e.deltas.applyTo(opts.Tracer)
 	counters.forks.Add(1)
 	return sys, nil
@@ -216,7 +222,7 @@ func forkSystem(opts core.Options) (*core.System, error) {
 // decodeError reports a snapshot this process captured that does not
 // decode. The registry holds only states encoded in this process, so
 // the codec is at fault; booting cold instead would hide that.
-func decodeError(key string, err error) error {
+func decodeError(key Key, err error) error {
 	return fmt.Errorf("snapshot: captured state of %s does not decode: %w", key, err)
 }
 
@@ -233,7 +239,7 @@ func BootKernel(plat hw.Platform, cfg kernel.Config, sink *trace.Sink) (*kernel.
 		}
 		return k, err
 	}
-	key := KernelKey(plat, cfg)
+	key := KeyOf("kern", plat, cfg)
 	e, err := load(key, func() (*bootDeltas, []byte, error) {
 		probe := trace.NewSink(0)
 		k, err := kernel.Boot(plat, cfg)

@@ -86,6 +86,53 @@ func TestForkMatchesColdBoot(t *testing.T) {
 	}
 }
 
+// TestRunParamsMatchColdBoot: the timeslice and the switch padding are
+// applied to a fork of the boot shape, not captured with it. For every
+// platform, scenario, domain count, timeslice and pad, NewSystem,
+// ForkForStreaming and a cold core.NewSystem encode byte-equal states,
+// and one capture per boot shape serves every run parameter.
+func TestRunParamsMatchColdBoot(t *testing.T) {
+	reset(t)
+	before := snapshot.Stats()
+	shapes := 0
+	for _, plat := range []hw.Platform{hw.Haswell(), hw.Sabre()} {
+		for _, sc := range []kernel.Scenario{kernel.ScenarioRaw, kernel.ScenarioFullFlush, kernel.ScenarioProtected} {
+			for _, domains := range []int{2, 3} {
+				shapes++
+				for _, timeslice := range []float64{0, 100, 2000} {
+					for _, pad := range []float64{0, 12, 25, 58.8, 62.5} {
+						opts := core.Options{Platform: plat, Scenario: sc, Domains: domains, TimesliceMicros: timeslice, PadMicros: pad}
+						name := fmt.Sprintf("%s/%v/%d domains/timeslice %v/pad %v", plat.Name, sc, domains, timeslice, pad)
+						cold, err := core.NewSystem(opts)
+						if err != nil {
+							t.Fatalf("%s: cold boot: %v", name, err)
+						}
+						want := encodeSystem(t, cold)
+						for _, fork := range []struct {
+							name string
+							fn   func(core.Options) (*core.System, error)
+						}{{"NewSystem", snapshot.NewSystem}, {"ForkForStreaming", snapshot.ForkForStreaming}} {
+							sys, err := fork.fn(opts)
+							if err != nil {
+								t.Fatalf("%s: %s: %v", name, fork.name, err)
+							}
+							if !bytes.Equal(want, encodeSystem(t, sys)) {
+								t.Fatalf("%s: %s state differs from a cold boot", name, fork.name)
+							}
+							if sys.Opts != cold.Opts {
+								t.Fatalf("%s: %s recorded options %+v, a cold boot %+v", name, fork.name, sys.Opts, cold.Opts)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := snapshot.Stats().Captures - before.Captures; got != uint64(shapes) {
+		t.Fatalf("%d captures for %d boot shapes", got, shapes)
+	}
+}
+
 // TestForksAreIndependent: mutating one fork must not affect another.
 func TestForksAreIndependent(t *testing.T) {
 	reset(t)
@@ -182,7 +229,7 @@ func TestMemo(t *testing.T) {
 	reset(t)
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v, err := snapshot.Memo("answer", func() (int, error) { calls++; return 42, nil })
+		v, err := snapshot.Memo(snapshot.KeyOf("answer"), func() (int, error) { calls++; return 42, nil })
 		if err != nil || v != 42 {
 			t.Fatalf("Memo = %d, %v", v, err)
 		}
@@ -193,10 +240,10 @@ func TestMemo(t *testing.T) {
 	// Errors are not cached: the next call retries.
 	boom := errors.New("boom")
 	fails := 0
-	if _, err := snapshot.Memo("fails", func() (int, error) { fails++; return 0, boom }); !errors.Is(err, boom) {
+	if _, err := snapshot.Memo(snapshot.KeyOf("fails"), func() (int, error) { fails++; return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if v, err := snapshot.Memo("fails", func() (int, error) { fails++; return 7, nil }); err != nil || v != 7 {
+	if v, err := snapshot.Memo(snapshot.KeyOf("fails"), func() (int, error) { fails++; return 7, nil }); err != nil || v != 7 {
 		t.Fatalf("retry = %d, %v", v, err)
 	}
 	if fails != 2 {
@@ -218,7 +265,7 @@ func TestMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := snapshot.Memo("flight", func() (int, error) {
+			v, err := snapshot.Memo(snapshot.KeyOf("flight"), func() (int, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
@@ -252,7 +299,7 @@ func TestMemoPanicLeavesKeyRetryable(t *testing.T) {
 	reset(t)
 	func() {
 		defer func() { recover() }()
-		if _, err := snapshot.Memo("panics", func() (int, error) { panic("boom") }); err == nil {
+		if _, err := snapshot.Memo(snapshot.KeyOf("panics"), func() (int, error) { panic("boom") }); err == nil {
 			t.Error("panicking compute returned no error")
 		}
 	}()
@@ -262,7 +309,7 @@ func TestMemoPanicLeavesKeyRetryable(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		v, err := snapshot.Memo("panics", func() (int, error) { return 5, nil })
+		v, err := snapshot.Memo(snapshot.KeyOf("panics"), func() (int, error) { return 5, nil })
 		done <- result{v, err}
 	}()
 	select {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Journal ops. The journal is the store's source of truth: an object
@@ -73,6 +74,9 @@ func (s *Store) recover() error {
 		e := el.Value.(*entry)
 		fi, err := os.Lstat(s.objectPath(key))
 		switch {
+		case !kept(key):
+			s.quarantineLocked(key, "stale")
+			s.dropLocked(key)
 		case err != nil:
 			s.stats.Missing++
 			s.dropLocked(key)
@@ -117,6 +121,15 @@ func (s *Store) recover() error {
 		return err
 	}
 	return nil
+}
+
+// kept reports whether a key has a shape this build writes: a content
+// address (IsKey) or a session journal ("sess-" prefix). Objects under
+// any other key — the "snap-" machine snapshots of older builds — are
+// never read again, so recover moves them to quarantine/ instead of
+// keeping and counting them for good.
+func kept(key string) bool {
+	return IsKey(key) || strings.HasPrefix(key, "sess-")
 }
 
 // replayJournal applies journal records in order, returning per-key

@@ -13,7 +13,8 @@
 //	journal.jsonl   append-only record of puts, accesses and deletes;
 //	                replayed at Open to rebuild the index and LRU order
 //	tmp/            atomic-write staging; swept at Open
-//	quarantine/     corrupt, truncated or unjournalled files are moved
+//	quarantine/     corrupt, truncated or unjournalled files, and files
+//	                under a key this build never writes, are moved
 //	                here (never deleted) for post-mortem
 //
 // Write discipline mirrors a write-back cache flushing a dirty line:
@@ -106,8 +107,8 @@ type Stats struct {
 	// journal append tears at most the tail).
 	TornRecords uint64 `json:"torn_records"`
 	GCEvictions uint64 `json:"gc_evictions"`
-	// Recovered is how many entries the last Open replayed and
-	// verified.
+	// Recovered is how many entries the last Open replayed, verified
+	// and kept.
 	Recovered int `json:"recovered"`
 }
 

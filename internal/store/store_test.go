@@ -168,6 +168,45 @@ func TestOrphanQuarantinedAtOpen(t *testing.T) {
 	}
 }
 
+// TestStaleKeysQuarantinedAtOpen: an object under a key this build
+// never writes (an older build's "snap-" machine snapshot) is moved to
+// quarantine/ at Open and not counted as recovered; an artefact and a
+// session journal stay.
+func TestStaleKeysQuarantinedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	artefact, snap := Key("artefact"), "snap-"+Key("machine")
+	mustPut(t, s, artefact, []byte("table\n"))
+	mustPut(t, s, snap, []byte("machine state"))
+	s.Close()
+
+	s2 := mustOpen(t, dir, Options{})
+	if st := s2.Stats(); st.Recovered != 1 || st.Entries != 1 || st.Quarantined != 1 {
+		t.Errorf("stats = %+v, want 1 recovered entry and 1 quarantined", st)
+	}
+	objs, err := os.ReadDir(filepath.Join(dir, "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objs) != 1 || objs[0].Name() != artefact {
+		t.Errorf("objects/ holds %v, want only the artefact", objs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", snap)); err != nil {
+		t.Errorf("stale object not in quarantine/: %v", err)
+	}
+	if _, ok := s2.Get(snap); ok {
+		t.Error("stale object served")
+	}
+	sess := "sess-k0-1"
+	if err := s2.Update(sess, []byte("journal")); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if st := mustOpen(t, dir, Options{}).Stats(); st.Recovered != 2 || st.Quarantined != 0 {
+		t.Errorf("reopen with an artefact and a session journal: stats = %+v, want 2 recovered", st)
+	}
+}
+
 func TestTornJournalTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})

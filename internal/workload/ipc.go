@@ -44,7 +44,7 @@ func IPCVariants() []IPCVariant {
 // memoized process-wide (deterministic in plat and variant).
 func MeasureIPC(plat hw.Platform, variant IPCVariant, tr *trace.Sink) (float64, error) {
 	if tr == nil {
-		return snapshot.Memo(fmt.Sprintf("ipc|%d|%+v", variant, plat), func() (float64, error) {
+		return snapshot.Memo(snapshot.KeyOf("ipc", variant, plat), func() (float64, error) {
 			return measureIPC(plat, variant, nil)
 		})
 	}

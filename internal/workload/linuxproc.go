@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"timeprotection/internal/hw"
 	"timeprotection/internal/kernel"
 	"timeprotection/internal/memory"
@@ -27,7 +25,7 @@ import (
 // process-wide (deterministic in plat).
 func ForkExecCost(plat hw.Platform, tr *trace.Sink) (uint64, error) {
 	if tr == nil {
-		return snapshot.Memo(fmt.Sprintf("forkexec|%+v", plat), func() (uint64, error) {
+		return snapshot.Memo(snapshot.KeyOf("forkexec", plat), func() (uint64, error) {
 			return forkExecCost(plat, nil)
 		})
 	}

@@ -200,7 +200,7 @@ type SplashConfig struct {
 // executes, since the caller wants its observability side effects.
 func RunSplash(spec SplashSpec, cfg SplashConfig) (uint64, error) {
 	if cfg.Tracer == nil {
-		return snapshot.Memo(fmt.Sprintf("splash|%+v|%+v", spec, cfg), func() (uint64, error) {
+		return snapshot.Memo(snapshot.KeyOf("splash", spec, cfg), func() (uint64, error) {
 			return runSplash(spec, cfg)
 		})
 	}
@@ -282,7 +282,7 @@ func bootSplash(spec SplashSpec, cfg SplashConfig, wrap func(*splashProgram) ker
 func RunSplashThroughput(spec SplashSpec, cfg SplashConfig, cycles uint64) (int, error) {
 	spec.Blocks = 1 << 30 // never finishes within the horizon
 	if cfg.Tracer == nil {
-		return snapshot.Memo(fmt.Sprintf("splashtp|%d|%+v|%+v", cycles, spec, cfg), func() (int, error) {
+		return snapshot.Memo(snapshot.KeyOf("splashtp", cycles, spec, cfg), func() (int, error) {
 			return runSplashThroughput(spec, cfg, cycles)
 		})
 	}

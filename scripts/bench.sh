@@ -1,12 +1,14 @@
 #!/bin/sh
 # bench.sh — run the Benchmark* suite and record the perf trajectory.
 #
-# Runs every benchmark with -benchmem at GOMAXPROCS 1 (go test -cpu 1,
-# so B/op and allocs/op do not depend on the host's vCPU count), one
-# package at a time (-p 1, so no two benchmark binaries share the host),
-# and writes BENCH_<date>.json in the repo root: the host fingerprint (CPU
-# model, vCPU count, go version), the benchtime and, per benchmark,
-# ns/op, B/op and allocs/op.
+# Runs every benchmark five times (-count 5) with -benchmem at
+# GOMAXPROCS 1 (go test -cpu 1, so B/op and allocs/op do not depend on
+# the host's vCPU count), one package at a time (-p 1, so no two
+# benchmark binaries share the host), and writes BENCH_<date>.json in the
+# repo root: the host fingerprint (CPU model, vCPU count, go version),
+# the benchtime and, per benchmark, the median of the five runs' ns/op,
+# B/op and allocs/op. On a shared host one run's ns/op can stray by a
+# third; the median of five does not follow a single stray run.
 #
 # The regression gate then fails (exit 1) when a benchmark present in
 # both snapshots regressed by more than the threshold:
@@ -57,11 +59,19 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 echo "running benchmarks (benchtime $BENCHTIME, -cpu 1)..." >&2
-go test -p 1 -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -cpu 1 ./... | tee "$raw" >&2
+go test -p 1 -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -count 5 -cpu 1 ./... | tee "$raw" >&2
 
 # Benchmark output lines: name, iterations, then value/unit pairs
-# (ns/op, B/op, allocs/op, plus any custom metrics, which we skip).
+# (ns/op, B/op, allocs/op, plus any custom metrics, which we skip). Each
+# benchmark prints one line per run; the snapshot keeps each metric's
+# median, benchmarks in order of first appearance.
 awk -v host="$host" -v benchtime="$BENCHTIME" '
+function median(key, m,   i, j, v, t) {
+	for (i = 1; i <= m; i++) v[i] = runs[key, i]
+	for (i = 2; i <= m; i++)
+		for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+	return m % 2 ? v[(m + 1) / 2] : (v[m / 2] + v[m / 2 + 1]) / 2
+}
 /^Benchmark/ {
 	ns = b = al = ""
 	for (i = 3; i + 1 <= NF; i += 2) {
@@ -69,17 +79,23 @@ awk -v host="$host" -v benchtime="$BENCHTIME" '
 		else if ($(i+1) == "B/op") b = $i
 		else if ($(i+1) == "allocs/op") al = $i
 	}
-	if (ns != "") {
-		rows[++n] = sprintf("    \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}", \
-			$1, ns, (b == "" ? 0 : b), (al == "" ? 0 : al))
-	}
+	if (ns == "") next
+	if (!($1 in count)) names[++n] = $1
+	m = ++count[$1]
+	runs[$1 " ns", m] = ns
+	runs[$1 " b", m] = (b == "" ? 0 : b)
+	runs[$1 " al", m] = (al == "" ? 0 : al)
 }
 END {
 	print "{"
 	print "  \"host\": " host ","
 	print "  \"benchtime\": \"" benchtime "\","
 	print "  \"benchmarks\": {"
-	for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
+	for (i = 1; i <= n; i++) {
+		k = names[i]; m = count[k]
+		printf "    \"%s\": {\"ns_op\": %s, \"b_op\": %s, \"allocs_op\": %s}%s\n", \
+			k, median(k " ns", m), median(k " b", m), median(k " al", m), (i < n ? "," : "")
+	}
 	print "  }"
 	print "}"
 }
