@@ -9,8 +9,7 @@
 //	tpserved                              # listen on :8080
 //	tpserved -addr :9000 -parallel 8      # bounded worker pool of 8
 //	tpserved -store /var/lib/tpserved     # durable tier: restarts serve from disk
-//	tpserved -retries 3 -breaker-threshold 5 -log   # hardened serving
-//	tpserved -fault-rate 0.3 -fault-panic-rate 0.2 -retries 8   # chaos drill
+//	tpserved -max-inflight 256 -log       # shed overload, log every request
 //	tpserved -peers a:8080,b:8080,c:8080 -self a:8080 -store DIR   # one shard of three
 //	tpserved -peers ... -net-fault-drop 0.2 -net-fault-seed 3   # inter-shard network chaos
 //
@@ -26,7 +25,7 @@
 //	GET    /v1/sessions/{id}/stream       # live SSE feed: trace events, MI updates, lifecycle
 //	DELETE /v1/sessions/{id}              # tear the session down
 //	GET  /healthz
-//	GET  /metricz                         # cache / singleflight / pool / breaker / session counters (JSON)
+//	GET  /metricz                         # cache / singleflight / pool / session counters (JSON)
 //
 // Errors on the v1 surface are a JSON envelope
 // ({"error":{"code","message","artefact"}}); see docs/api.md.
@@ -86,15 +85,12 @@
 // request into an error. /metricz gains a "cluster" section (per-peer
 // forwards, failovers, replication lag).
 //
-// Resilience: failed driver runs are retried with exponential backoff
-// (-retries, -retry-base), repeatedly failing artefacts are cut off by
-// a per-artefact circuit breaker (-breaker-threshold,
-// -breaker-cooldown), overload is shed with 503 (-max-inflight), and
-// -log emits one structured line per request. The -fault-* flags wrap
-// the drivers in deterministic, seed-driven fault injection
-// (internal/fault) for chaos drills: the daemon must keep serving —
-// panics are isolated and converted to errors, no goroutine leaks, no
-// singleflight key wedges, no worker dies.
+// Resilience: a driver run is deterministic, so a failed run is
+// reported once (500) and never retried — a retry would fail the same
+// way. A panicking driver is isolated and converted to an error: no
+// goroutine leaks, no singleflight key wedges, no worker dies, and the
+// next request for the key runs it afresh. Overload is shed with 503
+// (-max-inflight), and -log emits one structured line per request.
 package main
 
 import (
@@ -136,21 +132,11 @@ func main() {
 		fwdTimeout = flag.Duration("forward-timeout", 15*time.Second, "per-peer read-through request bound")
 		probeEvery = flag.Duration("probe-interval", 2*time.Second, "background /healthz sweep period (0 = passive health only)")
 
-		retries     = flag.Int("retries", 0, "re-attempts per failed driver run (exponential backoff)")
-		retryBase   = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff; doubles per attempt, jittered, capped at 5s")
-		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failures that open an artefact's circuit breaker (0 = disabled)")
-		brkCooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit fast-fails before a half-open probe")
 		maxInflight = flag.Int("max-inflight", 0, "shed requests beyond this many in flight with 503 (0 = unlimited)")
 		logReqs     = flag.Bool("log", false, "log one structured line per request to stderr")
 
 		maxSessions = flag.Int("max-sessions", 64, "concurrent interactive attack sessions (0 disables /v1/sessions)")
 		sessionTTL  = flag.Duration("session-ttl", 5*time.Minute, "idle sessions (not stepped) are reaped after this long")
-
-		faultRate    = flag.Float64("fault-rate", 0, "injected driver error probability in [0,1] (chaos drills)")
-		faultPanic   = flag.Float64("fault-panic-rate", 0, "injected driver panic probability in [0,1]")
-		faultLatency = flag.Float64("fault-latency-rate", 0, "injected added-latency probability in [0,1]")
-		faultDelay   = flag.Duration("fault-delay", 10*time.Millisecond, "latency added when a latency fault fires")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for the deterministic fault stream")
 
 		netDrop    = flag.Float64("net-fault-drop", 0, "injected peer-request drop probability in [0,1] (clustered chaos drills)")
 		netLatency = flag.Float64("net-fault-latency", 0, "injected peer-request added-latency probability in [0,1]")
@@ -162,23 +148,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tpserved: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
 	}
-	for _, rate := range []float64{*faultRate, *faultPanic, *faultLatency, *netDrop, *netLatency} {
+	for _, rate := range []float64{*netDrop, *netLatency} {
 		if rate < 0 || rate > 1 {
-			fmt.Fprintf(os.Stderr, "tpserved: fault rates must be in [0,1], got %v\n", rate)
+			fmt.Fprintf(os.Stderr, "tpserved: -net-fault-* rates must be in [0,1], got %v\n", rate)
 			os.Exit(2)
 		}
 	}
 
 	opts := service.Options{
-		Parallel:         *parallel,
-		Queue:            *queue,
-		CacheEntries:     *cacheMax,
-		Timeout:          *timeout,
-		Retries:          *retries,
-		RetryBase:        *retryBase,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-		MaxInflight:      *maxInflight,
+		Parallel:     *parallel,
+		Queue:        *queue,
+		CacheEntries: *cacheMax,
+		Timeout:      *timeout,
+		MaxInflight:  *maxInflight,
 	}
 	if *logReqs {
 		opts.AccessLog = log.New(os.Stderr, "tpserved: ", log.LstdFlags|log.Lmicroseconds)
@@ -223,7 +205,7 @@ func main() {
 			// Deterministic network chaos: every peer request this shard
 			// sends passes through the seed-driven injector — drops,
 			// added latency, and scripted partitions, keyed per
-			// (seed, src, dst, attempt) exactly like the driver faults.
+			// (seed, src, dst, attempt).
 			copts.Client = &http.Client{Transport: fault.NewNet(*self, nil, fault.NetConfig{
 				Seed:  *netSeed,
 				Rates: fault.NetRates{Drop: *netDrop, Latency: *netLatency},
@@ -265,16 +247,6 @@ func main() {
 		log.Printf("tpserved: interactive sessions enabled (max %d, idle TTL %v, journaled=%v)",
 			*maxSessions, *sessionTTL, st != nil)
 	}
-	if *faultRate > 0 || *faultPanic > 0 || *faultLatency > 0 {
-		injector := fault.Wrap(nil, fault.Config{
-			Seed:  *faultSeed,
-			Rates: fault.Rates{Error: *faultRate, Panic: *faultPanic, Latency: *faultLatency},
-			Delay: *faultDelay,
-		})
-		opts.Runner = injector.Run
-		log.Printf("tpserved: FAULT INJECTION enabled (error=%.2f panic=%.2f latency=%.2f seed=%d) — chaos drill, not production",
-			*faultRate, *faultPanic, *faultLatency, *faultSeed)
-	}
 
 	svc := service.New(opts)
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
@@ -284,8 +256,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("tpserved: listening on %s (%d workers, %d retries, breaker threshold %d)",
-		*addr, *parallel, *retries, *brkThresh)
+	log.Printf("tpserved: listening on %s (%d workers)", *addr, *parallel)
 
 	select {
 	case err := <-errc:

@@ -51,9 +51,6 @@ const (
 	// CodeQueueFull: the compute queue rejected the request (429
 	// backpressure); retry later.
 	CodeQueueFull ErrorCode = "queue_full"
-	// CodeCircuitOpen: the artefact's circuit breaker is fast-failing
-	// after repeated driver faults.
-	CodeCircuitOpen ErrorCode = "circuit_open"
 	// CodeOverloaded: the in-flight request cap shed the request (503).
 	CodeOverloaded ErrorCode = "overloaded"
 	// CodeTimeout: the per-request wait bound elapsed (the driver run

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -48,6 +49,14 @@ const ReplicaPathPrefix = "/v1/cluster/entries/"
 // checks and counting the hop as a forward failure.
 const CheckFailedHeader = "X-TP-Check-Failed"
 
+// ErrOwnerFailed marks a read-through the owner answered with a 500
+// `internal` envelope: its driver run for the entry failed. A driver
+// is a deterministic function of its plan entry and fails the same way
+// on every shard, so the forwarding shard reports the owner's failure
+// as the request's result instead of counting a peer fault and
+// rerunning the key locally.
+var ErrOwnerFailed = errors.New("owner's driver run failed")
+
 // Options configures a Cluster. Self and Peers are required; everything
 // else has serving-friendly defaults.
 type Options struct {
@@ -77,7 +86,7 @@ type Options struct {
 	// value disables the per-peer breaker — probes alone gate routing.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open peer circuit routes around the
-	// peer before a half-open retry (default 3s). A successful probe
+	// peer before a half-open attempt (default 3s). A successful probe
 	// closes it early.
 	BreakerCooldown time.Duration
 	// Client issues forwards, probes and replication PUTs (default: a
@@ -315,7 +324,10 @@ func EntryQuery(e experiments.PlanEntry) url.Values {
 // the caller falls back to local compute. A failed security check is
 // neither: the target marks it with CheckFailedHeader and FetchEntry
 // returns the rendered verdicts alongside experiments.ErrCheckFailed,
-// which the caller serves as the (correct, deterministic) result.
+// which the caller serves as the (correct, deterministic) result. Nor
+// is a failed driver run on the target (a 500 `internal` envelope):
+// FetchEntry returns it wrapping ErrOwnerFailed, and the caller reports
+// it rather than running the same failing driver again.
 // A panic in the hop becomes a memo.ErrPanic error for every waiter.
 func (c *Cluster) FetchEntry(ctx context.Context, target string, e experiments.PlanEntry) (body []byte, origin string, err error) {
 	f, err, shared := c.flights.Do(e.CacheKey(), func() (fetched, error) {
@@ -375,17 +387,27 @@ func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.Pl
 		return body, resp.Header.Get(api.HeaderCache), experiments.ErrCheckFailed
 	}
 	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		msg := string(raw)
-		if e, ok := api.DecodeError(raw); ok {
+		env, isEnv := api.DecodeError(raw)
+		if isEnv {
 			// Peers answer v1 envelopes; surface the message, not JSON.
-			msg = e.Message
+			msg = env.Message
+		}
+		if resp.StatusCode == http.StatusInternalServerError && isEnv && env.Code == api.CodeInternal {
+			// `internal` is the code a tpserved answers for a failed
+			// driver run: a deterministic result, not a peer fault. The hop worked, so settle the
+			// breaker as a success and hand the failure back as is.
+			c.brk.Success(target)
+			pc.forwardHits.Add(1)
+			return nil, "", fmt.Errorf("forward to %s: %w: %s", target, ErrOwnerFailed, msg)
 		}
 		err := fmt.Errorf("forward to %s: %s: %s", target, resp.Status, msg)
 		pc.forwardFails.Add(1)
 		if resp.StatusCode >= 500 {
-			// The peer is reachable but failing; its own breaker/retry
-			// already did the work — ours routes around it.
+			// The peer is reachable but cannot serve (draining, timed
+			// out, or not a tpserved at all); our breaker routes
+			// around it.
 			c.peerFailed(target, err)
 		}
 		return nil, "", err

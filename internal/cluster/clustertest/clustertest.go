@@ -37,14 +37,8 @@ type Options struct {
 	// StoreRoot/node<i> — the failover tests' survival substrate.
 	StoreRoot string
 	// Service is the per-node service option template; Cluster and
-	// Store are filled in per node. Runner, Retries etc. apply to every
-	// node.
+	// Store are filled in per node. Runner etc. apply to every node.
 	Service service.Options
-	// Fault, when non-nil, wraps every node's runner in deterministic
-	// fault injection with this shared config (same seed on every node:
-	// a given artefact sees the same fault sequence wherever the ring
-	// places it).
-	Fault *fault.Config
 	// Net, when non-nil, routes every node's peer traffic through a
 	// deterministic network fault injector with this shared config —
 	// drops, added latency and scripted one-way partitions, keyed per
@@ -148,9 +142,6 @@ func Start(t testing.TB, opts Options) *TestCluster {
 			sopts.Replicate = cl.ReplicateSync
 			reg = session.NewRegistry(sopts)
 			so.Sessions = reg
-		}
-		if opts.Fault != nil {
-			so.Runner = fault.Wrap(so.Runner, *opts.Fault).Run
 		}
 		if opts.Configure != nil {
 			opts.Configure(i, addrs[i], &so)

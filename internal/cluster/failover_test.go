@@ -2,13 +2,14 @@ package cluster_test
 
 import (
 	"fmt"
+	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"timeprotection/internal/api"
 	"timeprotection/internal/cluster/clustertest"
 	"timeprotection/internal/experiments"
-	"timeprotection/internal/fault"
 	"timeprotection/internal/hw"
 	"timeprotection/internal/service"
 )
@@ -36,9 +37,10 @@ func chaosPath(seed int64) string {
 }
 
 // TestClusterFailover is the chaos drill the tentpole promises: a
-// 3-node cluster with durable stores and per-entry replication, drivers
-// wrapped in deterministic fault injection (errors and panics absorbed
-// by retries), the owning shard of a batch of keys killed mid-workload.
+// 3-node cluster with durable stores and per-entry replication, a
+// driver that fails every key's first run (an error or a panic, reported
+// once as a 500 and neither cached nor replicated), the owning shard of
+// a batch of keys killed mid-workload.
 // The surviving ring must route around the corpse: the replica
 // successor serves the dead owner's keys from its store (X-Cache:
 // disk), the third node forwards to the replica (X-Cache: forward),
@@ -46,32 +48,48 @@ func chaosPath(seed int64) string {
 // survivor's disposition ledger still balances.
 func TestClusterFailover(t *testing.T) {
 	var computes atomic.Uint64
+	var mu sync.Mutex
+	ran := make(map[string]bool) // keys whose first run already failed
 	tc := clustertest.Start(t, clustertest.Options{
 		Nodes:     3,
 		Replicas:  1,
 		StoreRoot: t.TempDir(),
 		Service: service.Options{
 			Parallel: 4,
-			Retries:  12, // absorbs injected failures: P(13 straight) ≈ 1.6e-7
 			Runner: func(e experiments.PlanEntry) (string, error) {
 				computes.Add(1)
+				key := e.CanonicalKey()
+				mu.Lock()
+				first := !ran[key]
+				ran[key] = true
+				mu.Unlock()
+				switch {
+				case first && e.Config.Seed%2 == 1:
+					panic("first run of " + key)
+				case first:
+					return "", fmt.Errorf("first run of %s failed", key)
+				}
 				return chaosBody(e), nil
 			},
 		},
-		Fault: &fault.Config{
-			Seed:  1,
-			Rates: fault.Rates{Error: 0.2, Panic: 0.1},
-		},
 	})
 
-	// Phase 1: compute 20 keys, each through its owning shard, under
-	// fault injection. Owners compute locally, so no peer has a key in
-	// its memory cache — failover below must go through replicas.
+	// Phase 1: compute 20 keys, each through its owning shard. Owners
+	// compute locally, so no peer has a key in its memory cache —
+	// failover below must go through replicas. Each key's first request
+	// meets its failing first run and answers 500; the client's second
+	// request computes it cleanly.
 	const keys = 20
+	var errorsAt [3]uint64 // 500s each owner served in phase 1
 	for seed := int64(0); seed < keys; seed++ {
 		e := chaosEntry(seed)
 		owner := tc.OwnerIndex(e.CacheKey())
 		resp, body := tc.Get(owner, chaosPath(seed))
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("seed %d via owner node%d: status %d, want the first run's 500: %s", seed, owner, resp.StatusCode, body)
+		}
+		errorsAt[owner]++
+		resp, body = tc.Get(owner, chaosPath(seed))
 		if resp.StatusCode != 200 {
 			t.Fatalf("seed %d via owner node%d: status %d: %s", seed, owner, resp.StatusCode, body)
 		}
@@ -82,7 +100,7 @@ func TestClusterFailover(t *testing.T) {
 
 	// Drain write-behind replication, then verify the pipeline: every
 	// computed entry was pushed to exactly one successor, nothing failed,
-	// zero lag.
+	// zero lag — and no failed run was replicated.
 	for i, n := range tc.Nodes {
 		n.Cluster.WaitReplication()
 		r := n.Cluster.Stats().Replication
@@ -179,8 +197,9 @@ func TestClusterFailover(t *testing.T) {
 			t.Errorf("node%d ledger: hits=%d disk=%d misses=%d errors=%d forwards=%d != requests=%d",
 				i, a.Hits, a.Disk, a.Misses, a.Errors, a.Forwards, a.Requests)
 		}
-		if a.Errors != 0 {
-			t.Errorf("node%d returned %d artefact errors; failover must never surface one", i, a.Errors)
+		if a.Errors != errorsAt[i] {
+			t.Errorf("node%d returned %d artefact errors, want its %d phase-1 first runs; failover must never surface one",
+				i, a.Errors, errorsAt[i])
 		}
 		if m.Pool.Workers != 4 || m.Pool.Active != 0 {
 			t.Errorf("node%d pool: %d workers, %d active — want 4 idle workers", i, m.Pool.Workers, m.Pool.Active)

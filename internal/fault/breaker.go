@@ -1,35 +1,25 @@
 package fault
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// ErrCircuitOpen is returned by Breaker.Allow while a key's circuit is
-// open: the guarded operation keeps failing and callers should
-// fast-fail instead of burning resources on it. tpserved translates it
-// into 503 Service Unavailable for artefacts; the cluster layer treats
-// an open peer circuit as "peer down" and routes around it.
-var ErrCircuitOpen = errors.New("circuit open: retry later")
 
 // BreakerStats is a snapshot of a Breaker's counters (/metricz).
 type BreakerStats struct {
 	Threshold int    `json:"threshold"` // 0 = disabled
 	Open      int    `json:"open"`      // keys currently open
 	Tripped   uint64 `json:"tripped"`   // times any key opened
-	FastFails uint64 `json:"fast_fails"`
 }
 
-// Breaker is a per-key circuit breaker — the failure policy PR 4
-// introduced for artefacts, shared since the cluster layer applies the
-// same policy per peer. Each key counts consecutive failures; at
-// threshold the key opens and Allow fast-fails with ErrCircuitOpen
-// instead of admitting more doomed work. After cooldown the next
-// caller is let through as a half-open probe: success closes the
-// circuit, failure re-opens it for another cooldown. A threshold of 0
-// disables the breaker entirely (Allow always admits).
+// Breaker is a per-key circuit breaker; the cluster layer keys it by
+// peer. Each key counts consecutive failures; at threshold the key
+// opens and Open reports it for cooldown, so callers route around it
+// instead of admitting more doomed work. Past the cooldown the key
+// reads closed again (half-open): the next success closes it for good,
+// the next failure re-opens it for another cooldown. A threshold of 0
+// disables the breaker entirely (Open is always false).
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -38,8 +28,7 @@ type Breaker struct {
 	mu      sync.Mutex
 	entries map[string]*breakerEntry
 
-	tripped   atomic.Uint64
-	fastFails atomic.Uint64
+	tripped atomic.Uint64
 }
 
 type breakerEntry struct {
@@ -48,7 +37,7 @@ type breakerEntry struct {
 }
 
 // NewBreaker builds a breaker that opens a key after threshold
-// consecutive failures and fast-fails it for cooldown.
+// consecutive failures and keeps it open for cooldown.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{
 		threshold: threshold,
@@ -56,23 +45,6 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 		now:       time.Now,
 		entries:   make(map[string]*breakerEntry),
 	}
-}
-
-// Allow reports whether work for this key may proceed. Past the
-// cooldown an open circuit admits callers again (half-open): their
-// outcome decides whether it closes or re-opens.
-func (b *Breaker) Allow(key string) error {
-	if b.threshold <= 0 {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[key]
-	if e == nil || e.openUntil.IsZero() || !b.now().Before(e.openUntil) {
-		return nil
-	}
-	b.fastFails.Add(1)
-	return ErrCircuitOpen
 }
 
 // Success closes the key's circuit and resets its failure count.
@@ -89,8 +61,8 @@ func (b *Breaker) Success(key string) {
 }
 
 // Failure records one failure; at threshold the circuit opens for
-// cooldown. A failing half-open probe lands here too (fails is already
-// at threshold) and re-opens for a fresh cooldown.
+// cooldown. A failing half-open attempt lands here too (fails is
+// already at threshold) and re-opens for a fresh cooldown.
 func (b *Breaker) Failure(key string) {
 	if b.threshold <= 0 {
 		return
@@ -109,9 +81,8 @@ func (b *Breaker) Failure(key string) {
 	}
 }
 
-// Open reports whether the key's circuit is currently open (without
-// counting a fast-fail). The cluster's routing uses it to health-gate
-// peers.
+// Open reports whether the key's circuit is currently open. The
+// cluster's routing uses it to health-gate peers.
 func (b *Breaker) Open(key string) bool {
 	if b.threshold <= 0 {
 		return false
@@ -122,32 +93,11 @@ func (b *Breaker) Open(key string) bool {
 	return e != nil && !e.openUntil.IsZero() && b.now().Before(e.openUntil)
 }
 
-// OpenFor reports how much cooldown remains on the key's open circuit
-// (zero when closed or past cooldown) — the service derives Retry-After
-// hints from it, so fast-failed clients come back when the half-open
-// probe is actually possible rather than guessing.
-func (b *Breaker) OpenFor(key string) time.Duration {
-	if b.threshold <= 0 {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entries[key]
-	if e == nil || e.openUntil.IsZero() {
-		return 0
-	}
-	if d := e.openUntil.Sub(b.now()); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // Stats snapshots the counters.
 func (b *Breaker) Stats() BreakerStats {
 	st := BreakerStats{
 		Threshold: b.threshold,
 		Tripped:   b.tripped.Load(),
-		FastFails: b.fastFails.Load(),
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -42,7 +42,7 @@ type DiskStats struct {
 // Disk injects deterministic disk faults into internal/store's write
 // path. Decisions are drawn from a splitmix64 stream keyed by (seed,
 // operation kind, per-kind sequence number) — the same discipline as
-// the driver-level Runner — so a torture run replays exactly from its
+// Net — so a torture run replays exactly from its
 // seed regardless of goroutine interleaving per sequential caller.
 // WriteFile and Rename match store.Hooks' signatures:
 //

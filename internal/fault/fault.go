@@ -1,167 +1,22 @@
 // Package fault provides deterministic, seed-driven fault injection for
-// the serving stack, plus the shared failure-handling policy the stack
-// answers faults with (Breaker, used per artefact by internal/service
-// and per peer by internal/cluster). A Runner wraps the service's
-// driver function and, per invocation, may return an injected error,
-// panic, or add latency before delegating — with probabilities
-// configurable globally and per artefact. Decisions are drawn from a
-// splitmix64 stream keyed by (seed, artefact, per-artefact attempt
-// number), so a given seed reproduces the exact same fault sequence for
-// every artefact no matter how goroutines interleave: CI chaos runs are
-// stable, and any failure can be replayed from its seed.
+// the parts of the serving stack that fail transiently — the
+// inter-shard network (Net) and the durable store's disk (Disk) — plus
+// the per-key circuit breaker the cluster layer answers peer failures
+// with (Breaker). Decisions are drawn from splitmix64 streams keyed by
+// the seed and the operation's identity, so a given seed reproduces the
+// exact same fault sequence no matter how goroutines interleave: chaos
+// runs are stable, and any failure can be replayed from its seed.
+//
+// There is no driver fault injector: a driver run is a deterministic
+// function of its plan entry, so a real driver failure repeats on every
+// attempt and the service reports it once instead of retrying it.
 package fault
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"timeprotection/internal/experiments"
-)
+import "errors"
 
 // ErrInjected marks an error produced by fault injection rather than by
-// the wrapped driver.
+// the wrapped transport or filesystem.
 var ErrInjected = errors.New("injected fault")
-
-// Rates are per-invocation injection probabilities in [0, 1]. Panic and
-// Error are drawn from a single uniform variate (panic claims the low
-// interval, error the next), so Panic+Error is the total failure
-// probability; Latency is an independent draw.
-type Rates struct {
-	Error   float64
-	Panic   float64
-	Latency float64
-}
-
-// Config configures a Runner. The zero value injects nothing.
-type Config struct {
-	// Seed selects the deterministic decision stream. Two Runners with
-	// the same Seed and rates make identical per-artefact decisions.
-	Seed int64
-	// Rates apply to every artefact not overridden in PerArtefact.
-	Rates
-	// Delay is the latency added when a latency fault fires
-	// (default 10ms).
-	Delay time.Duration
-	// PerArtefact overrides Rates for specific artefact names
-	// ("table2", "check", ...).
-	PerArtefact map[string]Rates
-}
-
-// Stats counts what a Runner has injected.
-type Stats struct {
-	Calls  uint64 `json:"calls"`
-	Errors uint64 `json:"errors"`
-	Panics uint64 `json:"panics"`
-	Delays uint64 `json:"delays"`
-	Clean  uint64 `json:"clean"` // delegated without error or panic
-}
-
-// Runner wraps a driver function with fault injection. Its Run method
-// has the service's Options.Runner signature.
-type Runner struct {
-	cfg  Config
-	next func(experiments.PlanEntry) (string, error)
-
-	mu       sync.Mutex
-	attempts map[string]uint64 // per-artefact invocation counter
-
-	calls  atomic.Uint64
-	errs   atomic.Uint64
-	panics atomic.Uint64
-	delays atomic.Uint64
-}
-
-// Wrap builds a Runner delegating to next; nil selects the real drivers
-// (PlanEntry.Output), mirroring the service's default.
-func Wrap(next func(experiments.PlanEntry) (string, error), cfg Config) *Runner {
-	if next == nil {
-		next = func(e experiments.PlanEntry) (string, error) { return e.Output() }
-	}
-	if cfg.Delay <= 0 {
-		cfg.Delay = 10 * time.Millisecond
-	}
-	return &Runner{cfg: cfg, next: next, attempts: make(map[string]uint64)}
-}
-
-// entryName is the per-artefact decision-stream key for a plan entry.
-func entryName(e experiments.PlanEntry) string {
-	if e.Check {
-		return "check"
-	}
-	return e.Artefact.Name
-}
-
-// Run injects the decided faults for this artefact's next attempt, then
-// delegates. Injected panics carry the artefact and attempt number so a
-// recovered panic message identifies its origin.
-func (r *Runner) Run(e experiments.PlanEntry) (string, error) {
-	key := entryName(e)
-	r.mu.Lock()
-	n := r.attempts[key]
-	r.attempts[key]++
-	r.mu.Unlock()
-	r.calls.Add(1)
-
-	d := r.decide(key, n)
-	if d.Delay {
-		r.delays.Add(1)
-		time.Sleep(r.cfg.Delay)
-	}
-	if d.Panic {
-		r.panics.Add(1)
-		panic(fmt.Sprintf("fault: injected panic (%s attempt %d)", key, n))
-	}
-	if d.Error {
-		r.errs.Add(1)
-		return "", fmt.Errorf("%w (%s attempt %d)", ErrInjected, key, n)
-	}
-	return r.next(e)
-}
-
-// Stats snapshots the injection counters.
-func (r *Runner) Stats() Stats {
-	calls := r.calls.Load()
-	errs := r.errs.Load()
-	panics := r.panics.Load()
-	return Stats{
-		Calls:  calls,
-		Errors: errs,
-		Panics: panics,
-		Delays: r.delays.Load(),
-		Clean:  calls - errs - panics,
-	}
-}
-
-// Decision is the set of faults chosen for one invocation. Panic and
-// Error are mutually exclusive; Delay composes with either.
-type Decision struct {
-	Error bool
-	Panic bool
-	Delay bool
-}
-
-// decide draws this attempt's faults from the deterministic stream.
-func (r *Runner) decide(key string, attempt uint64) Decision {
-	rates := r.cfg.Rates
-	if override, ok := r.cfg.PerArtefact[key]; ok {
-		rates = override
-	}
-	base := mix64(uint64(r.cfg.Seed)) ^ fnv64(key)
-	u1 := unit(mix64(base + 2*attempt*gamma))
-	u2 := unit(mix64(base + (2*attempt+1)*gamma))
-	var d Decision
-	switch {
-	case u1 < rates.Panic:
-		d.Panic = true
-	case u1 < rates.Panic+rates.Error:
-		d.Error = true
-	}
-	d.Delay = u2 < rates.Latency
-	return d
-}
 
 const gamma = 0x9e3779b97f4a7c15 // splitmix64 increment
 

@@ -44,7 +44,7 @@ type NetStats struct {
 // install it as the Transport of cluster.Options.Client and every peer
 // call passes through it. Decisions are drawn from a splitmix64 stream
 // keyed by (seed, src, dst, per-destination attempt number) — the same
-// discipline as the driver and disk injectors — so a chaos run replays
+// discipline as the disk injector — so a chaos run replays
 // exactly from its seed regardless of goroutine interleaving per
 // sequential caller: the nth request from src to dst always meets the
 // same fate.

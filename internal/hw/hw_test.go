@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"slices"
 	"testing"
 
 	"timeprotection/internal/memory"
@@ -212,5 +213,67 @@ func TestIRQSingleLevelHasNoRace(t *testing.T) {
 	}
 	if got := ic.ProbeLatched(0); len(got) != 0 {
 		t.Fatal("single-level controller should latch nothing")
+	}
+}
+
+// threeLinesPending builds a fresh controller with lines 9, 3 and 5
+// routed to core 0 and pending (raised in that order).
+func threeLinesPending(twoLevel bool) *IRQController {
+	ic := NewIRQController(1, twoLevel)
+	for _, l := range []int{9, 3, 5} {
+		ic.Route(l, 0)
+		ic.Raise(l)
+	}
+	return ic
+}
+
+// TestIRQDeliversLowestLineFirst: delivery is fixed-priority, so every
+// fresh controller picks the same line. With map-order delivery, 200
+// controllers delivered 3, 5 and 9 first in roughly 157/17/26 splits.
+func TestIRQDeliversLowestLineFirst(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		ic := threeLinesPending(false)
+		var order []int
+		for {
+			l, ok := ic.NextDeliverable(0)
+			if !ok {
+				break
+			}
+			order = append(order, l)
+			ic.Acknowledge(l)
+		}
+		if !slices.Equal(order, []int{3, 5, 9}) {
+			t.Fatalf("controller %d delivered %v, want [3 5 9]", i, order)
+		}
+	}
+	// Masking the lowest line hands delivery to the next one.
+	ic := threeLinesPending(false)
+	ic.Mask(3)
+	if l, ok := ic.NextDeliverable(0); !ok || l != 5 {
+		t.Fatalf("with 3 masked NextDeliverable = %d %v, want 5", l, ok)
+	}
+}
+
+// TestIRQListsAscending: Lines and ProbeLatched return ascending lines
+// whatever the routing and raise order.
+func TestIRQListsAscending(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		ic := threeLinesPending(true)
+		ic.Route(1, 1) // another core's line is listed, never probed here
+		if got := ic.Lines(); !slices.Equal(got, []int{1, 3, 5, 9}) {
+			t.Fatalf("Lines = %v, want [1 3 5 9]", got)
+		}
+		ic.Mask(ic.Lines()...)
+		if got := ic.ProbeLatched(0); !slices.Equal(got, []int{3, 5, 9}) {
+			t.Fatalf("ProbeLatched = %v, want [3 5 9]", got)
+		}
+	}
+}
+
+// TestIRQNextDeliverableAllocationFree: the kernel asks on every step.
+func TestIRQNextDeliverableAllocationFree(t *testing.T) {
+	ic := threeLinesPending(false)
+	if n := testing.AllocsPerRun(100, func() { ic.NextDeliverable(0) }); n != 0 {
+		t.Errorf("NextDeliverable allocates %v times per call", n)
 	}
 }

@@ -1,7 +1,15 @@
 package hw
 
+import "sort"
+
 // IRQController models the machine's interrupt fabric. IRQ lines are
 // small integers; each line is routed to one core. Masking is per line.
+//
+// Delivery is fixed-priority: of the lines deliverable to a core, the
+// lowest-numbered one is delivered first, and every list the controller
+// returns (Lines, ProbeLatched) is in ascending line order. No map
+// iteration order reaches the simulated machine, so a run with several
+// lines pending on one core is deterministic.
 //
 // On the x86-style two-level fabric (IO-APIC + LAPIC), masking a
 // bottom-level source races with an interrupt the CPU already accepted:
@@ -58,19 +66,22 @@ func (ic *IRQController) Unmask(lines ...int) {
 	}
 }
 
-// Lines returns all lines ever routed (for mask-all sweeps).
+// Lines returns all lines ever routed, in ascending order (for
+// mask-all sweeps, which touch kernel state once per line in this
+// order).
 func (ic *IRQController) Lines() []int {
 	out := make([]int, 0, len(ic.routing))
 	for l := range ic.routing {
 		out = append(out, l)
 	}
+	sort.Ints(out)
 	return out
 }
 
-// ProbeLatched returns and clears the latched lines for a core,
-// acknowledging them at the hardware level. The x86 domain-switch path
-// must call this after masking; skipping it lets a cross-domain
-// interrupt slip through the mask.
+// ProbeLatched returns and clears the latched lines for a core, in
+// ascending order, acknowledging them at the hardware level. The x86
+// domain-switch path must call this after masking; skipping it lets a
+// cross-domain interrupt slip through the mask.
 func (ic *IRQController) ProbeLatched(core int) []int {
 	var out []int
 	for l := range ic.latched {
@@ -80,22 +91,24 @@ func (ic *IRQController) ProbeLatched(core int) []int {
 			delete(ic.pending, l)
 		}
 	}
+	sort.Ints(out)
 	return out
 }
 
-// NextDeliverable returns a pending line deliverable to core right now:
-// unmasked and routed there — or a latched line (two-level race) even if
-// masked. ok is false when nothing is deliverable.
+// NextDeliverable returns the lowest pending line deliverable to core
+// right now: unmasked and routed there — or a latched line (two-level
+// race) even if masked. ok is false when nothing is deliverable. It
+// runs on every kernel step, so it scans without allocating.
 func (ic *IRQController) NextDeliverable(core int) (line int, ok bool) {
 	for l := range ic.pending {
-		if ic.routing[l] != core {
+		if ic.routing[l] != core || (ok && l >= line) {
 			continue
 		}
 		if !ic.masked[l] || ic.latched[l] {
-			return l, true
+			line, ok = l, true
 		}
 	}
-	return 0, false
+	return line, ok
 }
 
 // Acknowledge clears a delivered line.

@@ -89,8 +89,7 @@ type Metrics struct {
 		Shared uint64 `json:"shared"`
 		Panics uint64 `json:"panics"`
 	} `json:"singleflight"`
-	Pool     PoolStats    `json:"pool"`
-	Breaker  BreakerStats `json:"breaker"`
+	Pool     PoolStats `json:"pool"`
 	Requests struct {
 		Total    uint64 `json:"total"`
 		Errors   uint64 `json:"errors"`
@@ -98,7 +97,6 @@ type Metrics struct {
 		Inflight int64  `json:"inflight"`
 	} `json:"requests"`
 	DriverRuns   uint64         `json:"driver_runs"`
-	Retries      uint64         `json:"retries"`
 	RunnerPanics uint64         `json:"runner_panics"`
 	Sessions     *session.Stats `json:"sessions,omitempty"`
 	// Snapshot is the process-wide snapshot layer under the drivers
@@ -127,13 +125,11 @@ func (s *Server) Snapshot() Metrics {
 	m.Singleflight.Shared = s.flights.Shared()
 	m.Singleflight.Panics = s.flights.Panics()
 	m.Pool = s.pool.Stats()
-	m.Breaker = s.breaker.Stats()
 	m.Requests.Total = s.requests.Load()
 	m.Requests.Errors = s.errors.Load()
 	m.Requests.Shed = s.shed.Load()
 	m.Requests.Inflight = s.inflight.Load()
 	m.DriverRuns = s.runs.Load()
-	m.Retries = s.retries.Load()
 	m.RunnerPanics = s.panics.Load()
 	if reg := s.opts.Sessions; reg != nil {
 		stats := reg.Stats()
@@ -290,7 +286,7 @@ func (s *Server) handleArtefact(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	body, src, origin, err := s.result(ctx, entry, false, isForwarded(r))
 	if err != nil {
-		s.setRetryAfter(w, err, artefactName(entry))
+		setRetryAfter(w, err)
 		s.fail(w, httpStatusFor(err), codeFor(err), entry.JobName(), "%s: %v", entry.JobName(), err)
 		return
 	}
@@ -358,7 +354,7 @@ func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
 			w.Write(body)
 			return
 		}
-		s.setRetryAfter(w, err, artefactName(entry))
+		setRetryAfter(w, err)
 		s.fail(w, httpStatusFor(err), codeFor(err), entry.JobName(), "%s: %v", entry.JobName(), err)
 		return
 	}
@@ -426,17 +422,34 @@ type RunRequest struct {
 	Metrics bool   `json:"metrics"`
 }
 
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a JSON request body (a run request or a session
+// spec); a larger body is a 400 before anything runs.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes exactly one JSON value of at most maxBodyBytes
+// into v, rejecting unknown fields and anything after the value.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "bad run request: %v", err)
-		return
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+		return fmt.Errorf("after the request: %w", err)
+	}
+	return nil
+}
+
+// plan validates the request and expands it into its plan entries. A
+// platform may be named once, so a valid request never expands past the
+// full plan for both platforms: Expand lists each artefact at most once
+// per platform.
+func (req RunRequest) plan() ([]experiments.PlanEntry, error) {
 	if err := experiments.ValidateArtefactNames(req.Artefacts); err != nil {
-		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "%v", err)
-		return
+		return nil, err
 	}
 	platNames := req.Platforms
 	if len(platNames) == 0 {
@@ -446,8 +459,12 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	for _, n := range platNames {
 		p, ok := hw.PlatformByName(n)
 		if !ok {
-			s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "unknown platform %q (haswell|sabre)", n)
-			return
+			return nil, fmt.Errorf("unknown platform %q (haswell|sabre)", n)
+		}
+		for _, q := range plats {
+			if q.Name == p.Name {
+				return nil, fmt.Errorf("platform %q named twice", n)
+			}
 		}
 		plats = append(plats, p)
 	}
@@ -471,7 +488,20 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		Check:      req.Check,
 	})
 	if len(entries) == 0 {
-		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "run request selects no artefacts")
+		return nil, errors.New("run request selects no artefacts")
+	}
+	return entries, nil
+}
+
+func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
+	var req RunRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "bad run request: %v", err)
+		return
+	}
+	entries, err := req.plan()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "%v", err)
 		return
 	}
 

@@ -16,35 +16,11 @@ import (
 	"timeprotection/internal/experiments"
 )
 
-// TestRetryEventuallySucceeds: transient failures are retried on the
-// worker with backoff; the request sees only the final success.
-func TestRetryEventuallySucceeds(t *testing.T) {
-	var calls atomic.Uint64
-	runner := func(e experiments.PlanEntry) (string, error) {
-		if n := calls.Add(1); n <= 3 {
-			return "", fmt.Errorf("transient failure %d", n)
-		}
-		return "recovered\n", nil
-	}
-	s, ts := newTestServer(t, Options{Parallel: 1, Runner: runner, Retries: 5, RetryBase: time.Millisecond})
-	resp, body := get(t, ts.URL+"/v1/artefacts/table2")
-	if resp.StatusCode != 200 || body != "recovered\n" {
-		t.Fatalf("got %d %q, want 200 after retries", resp.StatusCode, body)
-	}
-	m := s.Snapshot()
-	if m.DriverRuns != 4 || m.Retries != 3 {
-		t.Errorf("driver_runs=%d retries=%d, want 4/3", m.DriverRuns, m.Retries)
-	}
-	// The successful retry landed in the cache like any clean run.
-	resp2, _ := get(t, ts.URL+"/v1/artefacts/table2")
-	if resp2.Header.Get(api.HeaderCache) != "hit" {
-		t.Error("retried success not cached")
-	}
-}
-
-// TestRetriesExhaustedThenKeyRecovers: a run that outlasts its retry
-// budget reports 500, but the key stays live — once the fault clears,
-// the next request succeeds.
+// TestRetriesExhaustedThenKeyRecovers: the server's retry budget is
+// zero — a driver run is deterministic, so a failed run is reported
+// once as a 500 after exactly one driver run. The failure is not
+// cached, so the key stays live: the next request runs it afresh and
+// succeeds once the fault clears.
 func TestRetriesExhaustedThenKeyRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -54,18 +30,22 @@ func TestRetriesExhaustedThenKeyRecovers(t *testing.T) {
 		}
 		return "back up\n", nil
 	}
-	s, ts := newTestServer(t, Options{Parallel: 1, Runner: runner, Retries: 2, RetryBase: time.Millisecond})
+	s, ts := newTestServer(t, Options{Parallel: 1, Runner: runner})
 	resp, body := get(t, ts.URL+"/v1/artefacts/table2")
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("exhausted retries = %d %q, want 500", resp.StatusCode, body)
+		t.Fatalf("failed run = %d %q, want 500", resp.StatusCode, body)
 	}
-	if m := s.Snapshot(); m.DriverRuns != 3 {
-		t.Errorf("driver_runs = %d, want 3 (1 try + 2 retries)", m.DriverRuns)
+	if m := s.Snapshot(); m.DriverRuns != 1 {
+		t.Errorf("driver_runs = %d, want 1 (a failed run is not retried)", m.DriverRuns)
 	}
 	failing.Store(false)
 	resp2, body2 := get(t, ts.URL+"/v1/artefacts/table2")
-	if resp2.StatusCode != 200 || body2 != "back up\n" {
-		t.Fatalf("recovered request = %d %q", resp2.StatusCode, body2)
+	if resp2.StatusCode != 200 || body2 != "back up\n" || resp2.Header.Get(api.HeaderCache) != "miss" {
+		t.Fatalf("recovered request = %d %q X-Cache=%q, want a fresh 200 miss",
+			resp2.StatusCode, body2, resp2.Header.Get(api.HeaderCache))
+	}
+	if m := s.Snapshot(); m.DriverRuns != 2 {
+		t.Errorf("driver_runs = %d, want 2", m.DriverRuns)
 	}
 }
 
@@ -103,56 +83,25 @@ func TestPanickingRunnerIsolated(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsFastFailsAndRecovers: consecutive post-retry failures
-// open an artefact's circuit (503 without burning a worker); after
-// cooldown a half-open probe closes it again. Other artefacts are
-// unaffected — the breaker is per artefact.
-func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	runner := func(e experiments.PlanEntry) (string, error) {
-		if failing.Load() && e.Artefact.Name == "table2" {
-			return "", fmt.Errorf("table2 driver down")
-		}
-		return e.Artefact.Name + " ok\n", nil
+// TestDrainingPoolSetsRetryAfter: once Close has drained the pool, a
+// request for an uncached artefact cannot be computed — it answers 503
+// unavailable with the same flat Retry-After the shedding path sends.
+func TestDrainingPoolSetsRetryAfter(t *testing.T) {
+	var calls atomic.Uint64
+	s, ts := newTestServer(t, Options{Parallel: 1, Runner: countingRunner(&calls)})
+	s.Close()
+	resp, body := get(t, ts.URL+"/v1/artefacts/table2")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("after Close = %d %q, want 503", resp.StatusCode, body)
 	}
-	s, ts := newTestServer(t, Options{
-		Parallel: 1, Runner: runner,
-		BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond,
-	})
-
-	// Two failures (distinct configs, same artefact) open the circuit.
-	for i := 1; i <= 2; i++ {
-		if resp, _ := get(t, ts.URL+fmt.Sprintf("/v1/artefacts/table2?seed=%d", i)); resp.StatusCode != 500 {
-			t.Fatalf("failure %d = %d, want 500", i, resp.StatusCode)
-		}
+	if e, ok := api.DecodeError([]byte(body)); !ok || e.Code != api.CodeUnavailable {
+		t.Errorf("body = %q, want unavailable error envelope", body)
 	}
-	resp, body := get(t, ts.URL+"/v1/artefacts/table2?seed=3")
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "circuit open") {
-		t.Fatalf("open circuit = %d %q, want 503 circuit open", resp.StatusCode, body)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
 	}
-	m := s.Snapshot()
-	if m.DriverRuns != 2 {
-		t.Errorf("driver_runs = %d, want 2 — the fast-fail must not reach the pool", m.DriverRuns)
-	}
-	if m.Breaker.Tripped != 1 || m.Breaker.FastFails != 1 || m.Breaker.Open != 1 {
-		t.Errorf("breaker = %+v, want tripped=1 fast_fails=1 open=1", m.Breaker)
-	}
-	// Per-artefact isolation: table3 serves normally while table2 is open.
-	if resp, _ := get(t, ts.URL+"/v1/artefacts/table3"); resp.StatusCode != 200 {
-		t.Errorf("table3 = %d while table2's circuit is open, want 200", resp.StatusCode)
-	}
-
-	// After cooldown the half-open probe goes through and closes the
-	// circuit.
-	failing.Store(false)
-	time.Sleep(150 * time.Millisecond)
-	resp2, body2 := get(t, ts.URL+"/v1/artefacts/table2?seed=3")
-	if resp2.StatusCode != 200 || body2 != "table2 ok\n" {
-		t.Fatalf("half-open probe = %d %q, want success", resp2.StatusCode, body2)
-	}
-	if m := s.Snapshot(); m.Breaker.Open != 0 {
-		t.Errorf("breaker still open after successful probe: %+v", m.Breaker)
+	if calls.Load() != 0 {
+		t.Errorf("driver ran %d times on a closed pool", calls.Load())
 	}
 }
 
@@ -281,12 +230,8 @@ func TestOptionDefaultsPinned(t *testing.T) {
 	if m.Cache.Capacity != 1024 {
 		t.Errorf("default cache capacity = %d, want 1024", m.Cache.Capacity)
 	}
-	if m.Breaker.Threshold != 0 {
-		t.Errorf("default breaker threshold = %d, want 0 (disabled)", m.Breaker.Threshold)
-	}
 	o := s.opts
-	if o.Timeout != 5*time.Minute || o.RetryBase != 50*time.Millisecond ||
-		o.BreakerCooldown != 5*time.Second || o.Retries != 0 || o.MaxInflight != 0 || o.Runner == nil {
+	if o.Timeout != 5*time.Minute || o.MaxInflight != 0 || o.SessionHeartbeat != 15*time.Second || o.Runner == nil {
 		t.Errorf("defaulted opts = %+v", o)
 	}
 

@@ -12,11 +12,11 @@
 // The serving path is hardened against arbitrary runner failure: a
 // panicking or erroring driver run is converted to an error at the
 // runner boundary (with pool-worker and singleflight recovery as
-// further lines of defence), retried with exponential backoff and
-// jitter, and — if an artefact keeps failing — cut off by a
-// per-artefact circuit breaker so the pool is not burned on doomed
-// runs. No fault can leak a goroutine, wedge a singleflight key, or
-// shrink the pool.
+// further lines of defence) and reported once. A driver run is a
+// deterministic function of its plan entry, so a failure would repeat
+// on every attempt: it is neither retried nor cached, and the next
+// request for the key runs it afresh. No fault can leak a goroutine,
+// wedge a singleflight key, or shrink the pool.
 package service
 
 import (
@@ -24,10 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,19 +33,10 @@ import (
 	"timeprotection/internal/api"
 	"timeprotection/internal/cluster"
 	"timeprotection/internal/experiments"
-	"timeprotection/internal/fault"
 	"timeprotection/internal/memo"
 	"timeprotection/internal/session"
 	"timeprotection/internal/store"
 )
-
-// ErrCircuitOpen is the per-artefact circuit-breaker fast-fail; the
-// breaker itself lives in internal/fault since the cluster layer reuses
-// it per peer. Handlers translate it into 503 Service Unavailable.
-var ErrCircuitOpen = fault.ErrCircuitOpen
-
-// BreakerStats re-exports the breaker's /metricz snapshot type.
-type BreakerStats = fault.BreakerStats
 
 // ErrRunnerPanic marks a driver panic that was recovered and converted
 // to an error; handlers translate it into 500 like any other runner
@@ -70,20 +59,6 @@ type Options struct {
 	// the whole batch. The driver run itself is not cancelled — its
 	// result still lands in the cache for the retry.
 	Timeout time.Duration
-	// Retries is how many times a failed driver run is re-attempted on
-	// its worker before the failure is reported (default 0). Failed
-	// security checks (experiments.ErrCheckFailed) are never retried:
-	// a check verdict is a correct, deterministic result.
-	Retries int
-	// RetryBase is the first backoff delay; attempt n waits
-	// RetryBase*2^n with jitter, capped at 5s (default 50ms).
-	RetryBase time.Duration
-	// BreakerThreshold opens an artefact's circuit breaker after that
-	// many consecutive post-retry failures (default 0 = disabled).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit fast-fails before
-	// admitting a half-open probe (default 5s).
-	BreakerCooldown time.Duration
 	// MaxInflight sheds load with 503 once that many requests are in
 	// flight (default 0 = unlimited). /healthz is exempt so liveness
 	// probes still answer under overload.
@@ -122,8 +97,8 @@ type Options struct {
 	// lets tests prove liveness quickly.
 	SessionHeartbeat time.Duration
 	// Runner computes one plan entry's output. Nil selects the real
-	// drivers (PlanEntry.Output); tests inject counting, blocking or
-	// fault-injecting runners.
+	// drivers (PlanEntry.Output); tests inject counting, blocking,
+	// failing or panicking runners.
 	Runner func(experiments.PlanEntry) (string, error)
 }
 
@@ -139,18 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Minute
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.BreakerThreshold < 0 {
-		o.BreakerThreshold = 0
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
 	}
 	if o.MaxInflight < 0 {
 		o.MaxInflight = 0
@@ -190,14 +153,13 @@ const (
 	srcForward = api.CacheForward // served by the key's owning shard (peer read-through)
 )
 
-// Server owns the cache, singleflight group, worker pool and circuit
-// breaker behind the HTTP API.
+// Server owns the cache, singleflight group and worker pool behind the
+// HTTP API.
 type Server struct {
 	opts    Options
 	cache   *memo.LRU[string, []byte]
 	flights memo.Group[string, []byte]
 	pool    *Pool
-	breaker *fault.Breaker
 	mux     *http.ServeMux
 
 	// fills tracks in-flight write-behind store flushes (and nothing
@@ -216,8 +178,7 @@ type Server struct {
 	errors   atomic.Uint64
 	shed     atomic.Uint64
 	inflight atomic.Int64
-	runs     atomic.Uint64 // actual driver invocations (retries included)
-	retries  atomic.Uint64 // re-attempts after a failed run
+	runs     atomic.Uint64 // actual driver invocations
 	panics   atomic.Uint64 // runner panics converted to errors
 }
 
@@ -275,7 +236,6 @@ func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults()}
 	s.cache = NewCache(s.opts.CacheEntries)
 	s.pool = NewPool(s.opts.Parallel, s.opts.Queue)
-	s.breaker = fault.NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerCooldown)
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -299,19 +259,9 @@ func (s *Server) Close() {
 // filled by either front-end answers the other.
 func entryKey(e experiments.PlanEntry) string { return e.CanonicalKey() }
 
-// artefactName is the circuit-breaker key for a plan entry: faults are
-// tracked per artefact, not per config, since a broken driver breaks
-// every config of its artefact.
-func artefactName(e experiments.PlanEntry) string {
-	if e.Check {
-		return "check"
-	}
-	return e.Artefact.Name
-}
-
 // runSafely invokes the runner with panic isolation: a panicking driver
 // is converted to an ErrRunnerPanic-wrapped error carrying the panic
-// value, so callers retry it like any other failure.
+// value, reported like any other failure.
 func (s *Server) runSafely(e experiments.PlanEntry) (out string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -322,49 +272,18 @@ func (s *Server) runSafely(e experiments.PlanEntry) (out string, err error) {
 	return s.opts.Runner(e)
 }
 
-// backoff returns the wait before re-attempt n (0-based): exponential
-// in RetryBase, capped at 5s, with "equal jitter" (half fixed, half
-// uniform random) so retriers for different keys decorrelate.
-func (s *Server) backoff(attempt int) time.Duration {
-	const max = 5 * time.Second
-	d := s.opts.RetryBase
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// runWithRetry is the compute task the pool executes: run the driver,
-// retrying failed attempts with backoff, then settle the breaker and
-// cache. It owns a worker for its whole retry budget — queued work
-// behind it waits, which is the intended backpressure.
-func (s *Server) runWithRetry(e experiments.PlanEntry, key, art string) ([]byte, error) {
-	var out string
-	var err error
-	for attempt := 0; ; attempt++ {
-		s.runs.Add(1)
-		out, err = s.runSafely(e)
-		if err == nil || attempt >= s.opts.Retries || errors.Is(err, experiments.ErrCheckFailed) {
-			break
-		}
-		s.retries.Add(1)
-		time.Sleep(s.backoff(attempt))
-	}
+// compute is the task the pool executes: run the driver once and, on
+// success, fill the cache, the store and the replicas. A failure (a
+// failed check's verdict included) is returned to the waiters and
+// leaves no trace, so the next request for the key runs it afresh.
+func (s *Server) compute(e experiments.PlanEntry, key string) ([]byte, error) {
+	s.runs.Add(1)
+	out, err := s.runSafely(e)
 	body := []byte(out)
-	switch {
-	case err == nil:
+	if err == nil {
 		s.cache.Put(key, body)
 		s.flushBehind(key, body)
 		s.replicateBehind(key, body)
-		s.breaker.Success(art)
-	case errors.Is(err, experiments.ErrCheckFailed):
-		// A failed check is a correct run reporting its verdict — not a
-		// driver fault, so it neither trips nor closes the breaker.
-	default:
-		s.breaker.Failure(art)
 	}
 	return body, err
 }
@@ -399,7 +318,7 @@ func (s *Server) replicateBehind(key string, body []byte) {
 	}
 }
 
-// result serves one plan entry through cache, store, cluster, breaker,
+// result serves one plan entry through cache, store, cluster,
 // singleflight and the worker pool, recording the terminal disposition
 // in the consistent ledger. block selects blocking queue admission
 // (batch runs that were already admitted) over fail-fast 429
@@ -444,16 +363,16 @@ func (s *Server) lookupOrCompute(ctx context.Context, e experiments.PlanEntry, b
 				// and it must not fall through to local compute: the
 				// verdict is a correct, deterministic result.
 				return body, srcForward, origin, err
+			case errors.Is(err, cluster.ErrOwnerFailed):
+				// The owner's driver run failed. It would fail the same
+				// way here, so report it once instead of rerunning it.
+				return nil, srcForward, origin, err
 			}
 			// Failover: the owner was routable but the hop failed (its
 			// breaker is now counting); compute locally instead — the
 			// cluster never turns a servable request into an error.
 			cl.Failover()
 		}
-	}
-	art := artefactName(e)
-	if err := s.breaker.Allow(art); err != nil {
-		return nil, srcMiss, "", err
 	}
 	body, err, _ := s.flights.Do(key, func() ([]byte, error) {
 		// Re-check under the flight: a previous flight may have filled
@@ -468,7 +387,7 @@ func (s *Server) lookupOrCompute(ctx context.Context, e experiments.PlanEntry, b
 		}
 		done := make(chan outcome, 1)
 		task := func() {
-			body, err := s.runWithRetry(e, key, art)
+			body, err := s.compute(e, key)
 			done <- outcome{body, err}
 		}
 		var submitErr error
@@ -500,7 +419,7 @@ func httpStatusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrCircuitOpen), errors.Is(err, ErrPoolClosed):
+	case errors.Is(err, ErrPoolClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
@@ -513,8 +432,6 @@ func codeFor(err error) api.ErrorCode {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return api.CodeQueueFull
-	case errors.Is(err, ErrCircuitOpen):
-		return api.CodeCircuitOpen
 	case errors.Is(err, ErrPoolClosed):
 		return api.CodeUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -524,19 +441,11 @@ func codeFor(err error) api.ErrorCode {
 	}
 }
 
-// setRetryAfter stamps a Retry-After hint on fast-fail 503s, matching
-// the hint the shedding path already sends: an open circuit reports its
-// remaining cooldown (rounded up to whole seconds, never below 1), a
-// draining pool a flat second. Other errors leave the header unset.
-func (s *Server) setRetryAfter(w http.ResponseWriter, err error, art string) {
-	switch {
-	case errors.Is(err, ErrCircuitOpen):
-		secs := int64((s.breaker.OpenFor(art) + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	case errors.Is(err, ErrPoolClosed):
+// setRetryAfter stamps a Retry-After hint on a draining pool's 503,
+// matching the flat second the shedding path already sends. Other
+// errors leave the header unset.
+func setRetryAfter(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrPoolClosed) {
 		w.Header().Set("Retry-After", "1")
 	}
 }

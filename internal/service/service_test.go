@@ -347,6 +347,79 @@ func TestRunsStreamInPlanOrder(t *testing.T) {
 	}
 }
 
+// TestRunRequestBounds: a run body over 1 MiB and a platform named
+// twice are 400 bad_request envelopes, and neither reaches a driver.
+func TestRunRequestBounds(t *testing.T) {
+	var calls atomic.Uint64
+	s, ts := newTestServer(t, Options{Parallel: 1, Runner: countingRunner(&calls)})
+	valid := `{"platforms":["haswell"],"artefacts":["table2"],"samples":30}`
+	many := `{"artefacts":["table2"` + strings.Repeat(`,"table2"`, maxBodyBytes/9) + `]}`
+	cases := map[string]string{
+		"object over 1 MiB":            many,
+		"valid object padded to 1 MiB": valid + strings.Repeat(" ", maxBodyBytes),
+		"two values":                   valid + valid,
+		"platform twice":               `{"platforms":["haswell","haswell"],"artefacts":["table2"]}`,
+		"platform twice by alias":      `{"platforms":["sabre","arm"],"artefacts":["table2"]}`,
+	}
+	for name, body := range cases {
+		resp, raw := postJSON(t, ts.URL+"/v1/runs", body)
+		if e, ok := api.DecodeError(raw); resp.StatusCode != http.StatusBadRequest || !ok || e.Code != api.CodeBadRequest {
+			t.Errorf("%s: %d %.200s, want 400 bad_request", name, resp.StatusCode, raw)
+		}
+	}
+	if calls.Load() != 0 || s.Snapshot().DriverRuns != 0 {
+		t.Fatalf("rejected bodies ran the driver %d times", calls.Load())
+	}
+	// The same request within the bounds runs.
+	if resp, raw := postJSON(t, ts.URL+"/v1/runs", valid+"\n"); resp.StatusCode != 200 || calls.Load() != 1 {
+		t.Fatalf("valid run = %d %s after %d runs", resp.StatusCode, raw, calls.Load())
+	}
+}
+
+// FuzzRunRequest sends arbitrary bytes through the /v1/runs decode,
+// validation and expansion path against a counting stub driver. It
+// must never panic, a rejected body runs nothing, and an accepted body
+// expands to at most the entries of the full plan for both platforms:
+// the stub prints one line per entry, cache hits included.
+func FuzzRunRequest(f *testing.F) {
+	full := len(experiments.Expand(experiments.PlanSpec{
+		Platforms: []hw.Platform{hw.Haswell(), hw.Sabre()},
+		Artefacts: experiments.ArtefactNames(),
+		Check:     true,
+	}))
+	for _, seed := range []string{
+		`{"platforms":["haswell"],"artefacts":["table2","table3"],"samples":30}`,
+		`{"all":true,"ablations":true,"extensions":true,"check":true}`,
+		`{"platforms":["haswell","x86"],"table":2}`,
+		`{"figure":3,"seed":0,"metrics":true}`,
+		`{"artefacts":["table2","table2","table2"],"platforms":["sabre","haswell"]}`,
+		`{"platforms":[]}`,
+		`{"nope":1}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var calls atomic.Uint64
+		s := New(Options{Parallel: 2, Runner: countingRunner(&calls)})
+		defer s.Close()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(string(body))))
+		switch rec.Code {
+		case http.StatusOK:
+			if n := strings.Count(rec.Body.String(), "\n"); n == 0 || n > full {
+				t.Fatalf("accepted body expanded to %d entries, want 1..%d: %q", n, full, body)
+			}
+		case http.StatusBadRequest:
+			if calls.Load() != 0 {
+				t.Fatalf("rejected body ran %d drivers: %q", calls.Load(), body)
+			}
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+	})
+}
+
 // TestConcurrentMixedLoad hammers cache, singleflight and pool from
 // many goroutines — the -race meat of the package.
 func TestConcurrentMixedLoad(t *testing.T) {

@@ -155,6 +155,7 @@ func TestSessionAPIErrors(t *testing.T) {
 		{`{}`, api.CodeBadRequest},                         // missing channel
 		{`{"channel":"l1d","nope":1}`, api.CodeBadRequest}, // unknown field
 		{`{"channel":"l1d","samples":-3}`, api.CodeBadRequest},
+		{`{"channel":"kernel","scenario":"protected","pad_micros":1000000.001}`, api.CodeBadRequest}, // above session.MaxPadMicros
 	}
 	for _, c := range cases {
 		resp, raw := postJSON(t, base+"/v1/sessions", c.body)

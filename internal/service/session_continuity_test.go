@@ -6,14 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"timeprotection/internal/api"
-	"timeprotection/internal/experiments"
 	"timeprotection/internal/session"
 	"timeprotection/internal/store"
 )
@@ -209,41 +204,5 @@ func TestSessionRestartContinuityOverHTTP(t *testing.T) {
 			}
 			break
 		}
-	}
-}
-
-// TestBreakerFastFailSetsRetryAfter: the breaker's 503 fast-fail tells
-// clients when the half-open probe will be admitted — Retry-After
-// derived from the remaining cooldown, never absent, never zero.
-func TestBreakerFastFailSetsRetryAfter(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	runner := func(e experiments.PlanEntry) (string, error) {
-		if failing.Load() && e.Artefact.Name == "table2" {
-			return "", fmt.Errorf("table2 driver down")
-		}
-		return e.Artefact.Name + " ok\n", nil
-	}
-	_, ts := newTestServer(t, Options{
-		Parallel: 1, Runner: runner,
-		BreakerThreshold: 2, BreakerCooldown: 2 * time.Second,
-	})
-
-	for i := 1; i <= 2; i++ {
-		if resp, _ := get(t, ts.URL+fmt.Sprintf("/v1/artefacts/table2?seed=%d", i)); resp.StatusCode != 500 {
-			t.Fatalf("failure %d = %d, want 500", i, resp.StatusCode)
-		}
-	}
-	resp, body := get(t, ts.URL+"/v1/artefacts/table2?seed=3")
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "circuit open") {
-		t.Fatalf("open circuit = %d %q", resp.StatusCode, body)
-	}
-	ra := resp.Header.Get("Retry-After")
-	if ra == "" {
-		t.Fatal("fast-fail 503 missing Retry-After")
-	}
-	secs, err := strconv.Atoi(ra)
-	if err != nil || secs < 1 || secs > 2 {
-		t.Fatalf("Retry-After = %q, want 1..2 seconds of remaining cooldown", ra)
 	}
 }

@@ -105,9 +105,7 @@ func (s *Server) forwardSession(w http.ResponseWriter, r *http.Request, id strin
 // replication catch the owner up.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var spec session.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "bad session spec: %v", err)
 		return
 	}
@@ -198,7 +196,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		seq = n
 	}
 	var req stepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	switch err := dec.Decode(&req); {
 	case errors.Is(err, io.EOF): // no body: query/default rounds

@@ -52,7 +52,8 @@ type Spec struct {
 	Samples int `json:"samples,omitempty"`
 	// Seed drives the sender's symbol sequence (absent = 42; 0 valid).
 	Seed *int64 `json:"seed,omitempty"`
-	// PadMicros pads domain switches (protected scenario).
+	// PadMicros pads domain switches (protected scenario); at most
+	// MaxPadMicros.
 	PadMicros float64 `json:"pad_micros,omitempty"`
 	// Partition binds the interrupt channel's line to the trojan's
 	// kernel image (Kernel_SetInt).
@@ -63,6 +64,14 @@ type Spec struct {
 	// (default protocol).
 	Trace string `json:"trace,omitempty"`
 }
+
+// MaxPadMicros bounds a session's switch padding at one second: four
+// orders of magnitude above the paper's 58.8/62.5 µs pads. Its cycle
+// count (3.4e9 on Haswell, 8e8 on Sabre) fits a uint64 with room for
+// billions of padded switches before a core's clock could overflow; an
+// unbounded pad past about 5.4e15 µs would make the float-to-uint64
+// conversion in Platform.MicrosToCycles implementation-defined.
+const MaxPadMicros = 1e6
 
 // withDefaults validates the spec and fills the declaration-level
 // defaults, returning the normalized form a session echoes back.
@@ -97,6 +106,9 @@ func (sp Spec) withDefaults() (Spec, error) {
 	}
 	if sp.PadMicros < 0 {
 		return sp, fmt.Errorf("%w: negative pad_micros %v", ErrBadSpec, sp.PadMicros)
+	}
+	if !(sp.PadMicros <= MaxPadMicros) {
+		return sp, fmt.Errorf("%w: pad_micros %v above %v", ErrBadSpec, sp.PadMicros, float64(MaxPadMicros))
 	}
 	switch sp.Trace {
 	case "":

@@ -153,6 +153,7 @@ func TestSpecValidation(t *testing.T) {
 		{Channel: "l1d", Platform: "riscv"},
 		{Channel: "l1d", Samples: -1},
 		{Channel: "l1d", PadMicros: -2},
+		{Channel: "l1d", PadMicros: math.Nextafter(MaxPadMicros, math.Inf(1))},
 		{Channel: "l1d", Trace: "loud"},
 	}
 	for _, sp := range bad {
@@ -173,6 +174,31 @@ func TestSpecValidation(t *testing.T) {
 	if sp.Scenario != "raw" || sp.Platform != "haswell" || sp.Trace != TraceProtocol ||
 		sp.Seed == nil || *sp.Seed != 42 {
 		t.Errorf("normalized spec = %+v, want raw/haswell/protocol/seed 42", sp)
+	}
+}
+
+// TestPadMicrosBound: a pad of exactly MaxPadMicros boots and steps
+// on both platforms, its cycle count fitting a uint64. The next float
+// above it is rejected in TestSpecValidation.
+func TestPadMicrosBound(t *testing.T) {
+	r := newTestRegistry(t, Options{})
+	for _, plat := range []string{"haswell", "sabre"} {
+		p, _ := hw.PlatformByName(plat)
+		if c := p.MicrosToCycles(MaxPadMicros); float64(c) != MaxPadMicros*p.ClockHz/1e6 {
+			t.Errorf("%s: MicrosToCycles(MaxPadMicros) = %d, want %v", plat, c, MaxPadMicros*p.ClockHz/1e6)
+		}
+		s, err := r.Create(Spec{Channel: "kernel", Scenario: "protected", Platform: plat,
+			Samples: 4, PadMicros: MaxPadMicros, Trace: TraceOff})
+		if err != nil {
+			t.Fatalf("%s: pad at the bound: %v", plat, err)
+		}
+		if got := s.Spec().PadMicros; got != MaxPadMicros {
+			t.Errorf("%s: echoed pad_micros = %v", plat, got)
+		}
+		if _, err := s.Step(2); err != nil {
+			t.Errorf("%s: step with pad at the bound: %v", plat, err)
+		}
+		r.Delete(s.ID)
 	}
 }
 
