@@ -31,12 +31,16 @@ func main() {
 		platform  = flag.String("platform", "haswell", "haswell|sabre")
 		samples   = flag.Int("samples", 200, "samples to collect")
 		seed      = flag.Int64("seed", 42, "deterministic seed")
-		pad       = flag.Float64("pad", 0, "switch padding in microseconds")
+		pad       = flag.Float64("pad", 0, "switch padding in microseconds (at most 1e6)")
 		partition = flag.Bool("partition", false, "partition the trojan's IRQ (interrupt channel)")
 		noPF      = flag.Bool("disable-prefetcher", false, "disable the data prefetcher (MSR 0x1A4 analogue)")
 		csvPath   = flag.String("csv", "", "write raw samples to this CSV file")
 	)
 	flag.Parse()
+	if !(*pad >= 0 && *pad <= channel.MaxPadMicros) {
+		fmt.Fprintf(os.Stderr, "tpattack: -pad %v outside [0, %v] microseconds\n", *pad, float64(channel.MaxPadMicros))
+		os.Exit(2)
+	}
 
 	plat, ok := hw.PlatformByName(*platform)
 	if !ok {

@@ -256,7 +256,7 @@ func runSynthetic(plat hw.Platform, sc kernel.Scenario, domains, slices int, sin
 
 func keys(m map[int]bool) []int {
 	var out []int
-	for k := range m {
+	for k := range m { // order-free: sorted below
 		out = append(out, k)
 	}
 	for i := 1; i < len(out); i++ {

@@ -11,7 +11,6 @@
 //	tpserved -store /var/lib/tpserved     # durable tier: restarts serve from disk
 //	tpserved -max-inflight 256 -log       # shed overload, log every request
 //	tpserved -peers a:8080,b:8080,c:8080 -self a:8080 -store DIR   # one shard of three
-//	tpserved -peers ... -net-fault-drop 0.2 -net-fault-seed 3   # inter-shard network chaos
 //
 // API:
 //
@@ -54,14 +53,12 @@
 // the journal replicates synchronously to -replicas ring successors,
 // and a successor adopts the session by restoring it when the owner
 // dies.
-// The -net-fault-* flags install a deterministic network fault
-// injector (drops, added latency, keyed by seed/src/dst/attempt) on
-// the inter-shard transport for partition drills.
 //
 // Artefact bodies are byte-identical to cmd/tpbench's output for the
 // same config. SIGINT/SIGTERM drain gracefully: the listener closes,
-// in-flight requests and queued driver runs finish — including their
-// write-behind store flushes — then the process exits.
+// in-flight requests and queued driver runs finish — each worker writes
+// its result to the store before it takes the next run — then the
+// process exits.
 //
 // With -store DIR the in-memory LRU becomes a read-through /
 // write-behind fast tier over a crash-safe on-disk store
@@ -79,9 +76,11 @@
 // forward requests to the owner (X-Cache: forward, loop-guarded,
 // singleflight at both hops), and each computed entry is replicated
 // write-behind to -replicas ring successors so a killed shard's results
-// survive on whoever inherits its keys. Routing is health-gated through
-// /healthz probes plus a per-peer circuit breaker; any peer failure
-// falls back to local compute — a cluster never turns a servable
+// survive on whoever inherits its keys. Routing is health-gated by one
+// record per peer: a failed /healthz probe marks the peer down until a
+// probe succeeds, a failed forward or replication marks it down for a
+// 3 s cooldown, and any success marks it up. Any peer failure falls
+// back to local compute — a cluster never turns a servable
 // request into an error. /metricz gains a "cluster" section (per-peer
 // forwards, failovers, replication lag).
 //
@@ -108,7 +107,6 @@ import (
 	"time"
 
 	"timeprotection/internal/cluster"
-	"timeprotection/internal/fault"
 	"timeprotection/internal/service"
 	"timeprotection/internal/session"
 	"timeprotection/internal/store"
@@ -137,22 +135,11 @@ func main() {
 
 		maxSessions = flag.Int("max-sessions", 64, "concurrent interactive attack sessions (0 disables /v1/sessions)")
 		sessionTTL  = flag.Duration("session-ttl", 5*time.Minute, "idle sessions (not stepped) are reaped after this long")
-
-		netDrop    = flag.Float64("net-fault-drop", 0, "injected peer-request drop probability in [0,1] (clustered chaos drills)")
-		netLatency = flag.Float64("net-fault-latency", 0, "injected peer-request added-latency probability in [0,1]")
-		netDelay   = flag.Duration("net-fault-delay", 5*time.Millisecond, "latency added when a network latency fault fires")
-		netSeed    = flag.Int64("net-fault-seed", 1, "seed for the deterministic network fault stream")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "tpserved: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
-	}
-	for _, rate := range []float64{*netDrop, *netLatency} {
-		if rate < 0 || rate > 1 {
-			fmt.Fprintf(os.Stderr, "tpserved: -net-fault-* rates must be in [0,1], got %v\n", rate)
-			os.Exit(2)
-		}
 	}
 
 	opts := service.Options{
@@ -192,30 +179,15 @@ func main() {
 				members = append(members, p)
 			}
 		}
-		copts := cluster.Options{
-			Self:             *self,
-			Peers:            members,
-			Replicas:         *replicas,
-			ForwardTimeout:   *fwdTimeout,
-			ProbeInterval:    *probeEvery,
-			BreakerThreshold: 1,
-			Log:              log.New(os.Stderr, "tpserved: ", log.LstdFlags),
-		}
-		if *netDrop > 0 || *netLatency > 0 {
-			// Deterministic network chaos: every peer request this shard
-			// sends passes through the seed-driven injector — drops,
-			// added latency, and scripted partitions, keyed per
-			// (seed, src, dst, attempt).
-			copts.Client = &http.Client{Transport: fault.NewNet(*self, nil, fault.NetConfig{
-				Seed:  *netSeed,
-				Rates: fault.NetRates{Drop: *netDrop, Latency: *netLatency},
-				Delay: *netDelay,
-			})}
-			log.Printf("tpserved: NETWORK FAULT INJECTION enabled (drop=%.2f latency=%.2f seed=%d) — chaos drill, not production",
-				*netDrop, *netLatency, *netSeed)
-		}
 		var err error
-		cl, err = cluster.New(copts)
+		cl, err = cluster.New(cluster.Options{
+			Self:           *self,
+			Peers:          members,
+			Replicas:       *replicas,
+			ForwardTimeout: *fwdTimeout,
+			ProbeInterval:  *probeEvery,
+			Log:            log.New(os.Stderr, "tpserved: ", log.LstdFlags),
+		})
 		if err != nil {
 			log.Fatalf("tpserved: %v", err)
 		}
@@ -270,7 +242,7 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("tpserved: shutdown: %v", err)
 	}
-	svc.Close() // waits for in-flight runs and their write-behind store flushes
+	svc.Close() // waits for in-flight runs and their store writes
 	if reg != nil {
 		reg.Close() // ends live sessions; streams get a closed event
 	}

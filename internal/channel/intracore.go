@@ -39,6 +39,16 @@ func Resources(plat hw.Platform) []Resource {
 	return []Resource{L1D, L1I, TLB, BTB, BHB}
 }
 
+// MaxPadMicros bounds switch padding at one second: four orders of
+// magnitude above the paper's 58.8/62.5 µs pads. Its cycle count (3.4e9
+// on Haswell, 8e8 on Sabre) fits a uint64 with room for billions of
+// padded switches before a core's clock could overflow; an unbounded
+// pad past about 5.4e15 µs would make the float-to-uint64 conversion in
+// Platform.MicrosToCycles implementation-defined. Front ends that take
+// a pad from a user (tpattack -pad, a session's pad_micros) reject
+// anything above it.
+const MaxPadMicros = 1e6
+
 // Spec configures one channel experiment.
 type Spec struct {
 	Platform hw.Platform
@@ -47,7 +57,8 @@ type Spec struct {
 	Samples int
 	// TimesliceMicros overrides the 100 us default slice.
 	TimesliceMicros float64
-	// PadMicros configures switch padding (protected scenario).
+	// PadMicros configures switch padding (protected scenario); at
+	// most MaxPadMicros.
 	PadMicros float64
 	// Seed drives the sender's symbol sequence.
 	Seed int64

@@ -17,7 +17,6 @@ import (
 
 	"timeprotection/internal/api"
 	"timeprotection/internal/experiments"
-	"timeprotection/internal/fault"
 	"timeprotection/internal/memo"
 )
 
@@ -76,18 +75,15 @@ type Options struct {
 	ForwardTimeout time.Duration
 	// ProbeInterval is the background /healthz sweep period; 0 disables
 	// active probing (tests drive Probe explicitly for determinism, and
-	// passive breaker gating still works).
+	// failed hops still mark peers down).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 1s).
-	ProbeTimeout time.Duration
-	// BreakerThreshold opens a peer's circuit after that many
-	// consecutive forward/replication failures (default 1: the first
-	// failed hop marks the peer down for BreakerCooldown). A negative
-	// value disables the per-peer breaker — probes alone gate routing.
+	// BreakerThreshold is how many consecutive failed hops (forward,
+	// proxy or replication) mark a peer down for BreakerCooldown
+	// (default 1: the first failed hop; a value below 1 means 1).
 	BreakerThreshold int
-	// BreakerCooldown is how long an open peer circuit routes around the
-	// peer before a half-open attempt (default 3s). A successful probe
-	// closes it early.
+	// BreakerCooldown is how long a peer marked down by failed hops is
+	// routed around before the next hop tries it again (default 3s). A
+	// successful probe marks it up early.
 	BreakerCooldown time.Duration
 	// Client issues forwards, probes and replication PUTs (default: a
 	// dedicated client with per-host connection reuse).
@@ -104,14 +100,8 @@ func (o Options) withDefaults() Options {
 	if o.ForwardTimeout <= 0 {
 		o.ForwardTimeout = 15 * time.Second
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	switch {
-	case o.BreakerThreshold == 0:
-		o.BreakerThreshold = 1 // the documented default, not "disabled"
-	case o.BreakerThreshold < 0:
-		o.BreakerThreshold = 0 // fault.Breaker treats 0 as disabled
+	if o.BreakerThreshold < 1 {
+		o.BreakerThreshold = 1
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 3 * time.Second
@@ -125,13 +115,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// peerCounters tracks one peer's traffic for /metricz.
-type peerCounters struct {
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = time.Second
+
+// peer is one peer's traffic counters for /metricz and its health
+// record. The record (the fields under Cluster.mu) is the one place
+// routing reads a peer's health from, and three rules write it:
+//   - a failed /healthz probe marks the peer down until a probe
+//     succeeds;
+//   - the BreakerThreshold-th consecutive failed hop marks it down for
+//     BreakerCooldown;
+//   - any successful probe or hop marks it up.
+type peer struct {
 	forwards     atomic.Uint64 // read-through attempts sent to the peer
 	forwardHits  atomic.Uint64 // successful read-throughs
 	forwardFails atomic.Uint64
 	replicated   atomic.Uint64 // replication PUTs acknowledged
 	replFails    atomic.Uint64
+
+	// Guarded by Cluster.mu.
+	probeDown bool      // the last probe failed
+	fails     int       // consecutive failed hops
+	downUntil time.Time // hop trip: routed around until then
 }
 
 // Cluster is one shard's view of the member set: the ring, per-peer
@@ -140,12 +145,12 @@ type Cluster struct {
 	opts Options
 	ring *Ring
 	self string
-	brk  *fault.Breaker
 
-	peers map[string]*peerCounters // every member except self
+	peers map[string]*peer // every member except self
 
-	mu   sync.Mutex
-	down map[string]bool // last probe verdict per peer
+	mu      sync.Mutex       // guards every peer's health record and tripped
+	tripped uint64           // hop trips, for /metricz
+	now     func() time.Time // injectable clock for tests
 
 	flights memo.Group[string, fetched] // singleflight for the forwarding hop
 
@@ -193,14 +198,13 @@ func New(opts Options) (*Cluster, error) {
 		opts:  opts,
 		ring:  NewRing(members, opts.VirtualNodes),
 		self:  opts.Self,
-		brk:   fault.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		peers: make(map[string]*peerCounters),
-		down:  make(map[string]bool),
+		peers: make(map[string]*peer),
+		now:   time.Now,
 		stop:  make(chan struct{}),
 	}
 	for _, m := range c.ring.Members() {
 		if m != c.self {
-			c.peers[m] = &peerCounters{}
+			c.peers[m] = &peer{}
 		}
 	}
 	if opts.ProbeInterval > 0 {
@@ -251,15 +255,52 @@ func (c *Cluster) Successors(key string, n int) []string { return c.ring.Success
 func (c *Cluster) WaitReplication() { c.repl.Wait() }
 
 // alive reports whether a member is currently routable: self always is;
-// a peer is alive unless its last probe failed or its circuit is open.
+// a peer is alive unless its health record marks it down.
 func (c *Cluster) alive(member string) bool {
-	if member == c.self {
+	p := c.peers[member]
+	if p == nil {
 		return true
 	}
 	c.mu.Lock()
-	probeDown := c.down[member]
+	defer c.mu.Unlock()
+	return !p.probeDown && !c.now().Before(p.downUntil)
+}
+
+// markUp clears every down mark and the failed-hop count (caller holds
+// Cluster.mu).
+func (p *peer) markUp() { p.probeDown, p.fails, p.downUntil = false, 0, time.Time{} }
+
+// peerUp marks a peer up after a successful hop.
+func (c *Cluster) peerUp(target string) {
+	if p := c.peers[target]; p != nil {
+		c.mu.Lock()
+		p.markUp()
+		c.mu.Unlock()
+	}
+}
+
+// peerFailed records one failed hop against a peer's health record (the
+// call site counts it in the right per-peer counter): the
+// BreakerThreshold-th consecutive one marks the peer down for
+// BreakerCooldown, and so does each failure after it.
+func (c *Cluster) peerFailed(target string, err error) {
+	p := c.peers[target]
+	if p == nil {
+		return
+	}
+	c.mu.Lock()
+	now := c.now()
+	wasDown := now.Before(p.downUntil)
+	p.fails++
+	tripped := p.fails >= c.opts.BreakerThreshold
+	if tripped {
+		p.downUntil = now.Add(c.opts.BreakerCooldown)
+		c.tripped++
+	}
 	c.mu.Unlock()
-	return !probeDown && !c.brk.Open(member)
+	if tripped && !wasDown {
+		c.logf("peer %s marked down: %v", target, err)
+	}
 }
 
 // Route returns the shard that should answer for a key: the first alive
@@ -320,8 +361,8 @@ func EntryQuery(e experiments.PlanEntry) url.Values {
 // fetches of the same key (singleflight at the forwarding hop — the
 // owning shard's own singleflight is the second hop's collapse). origin
 // reports how the target served it (its X-Cache: hit, disk or miss). A
-// transport error or 5xx counts against the peer's circuit breaker and
-// the caller falls back to local compute. A failed security check is
+// transport error or 5xx counts as a failed hop against the peer's
+// health and the caller falls back to local compute. A failed security check is
 // neither: the target marks it with CheckFailedHeader and FetchEntry
 // returns the rendered verdicts alongside experiments.ErrCheckFailed,
 // which the caller serves as the (correct, deterministic) result. Nor
@@ -374,15 +415,15 @@ func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.Pl
 		// The owner reproduced a failing security check: a correct,
 		// deterministic verdict, not a peer fault. Hand the rendered
 		// verdicts back with the sentinel so the caller serves them
-		// without recomputing, and settle the breaker as a success —
-		// the hop itself worked.
+		// without recomputing, and count a successful hop — the hop
+		// itself worked.
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			pc.forwardFails.Add(1)
 			c.peerFailed(target, err)
 			return nil, "", fmt.Errorf("forward to %s: %w", target, err)
 		}
-		c.brk.Success(target)
+		c.peerUp(target)
 		pc.forwardHits.Add(1)
 		return body, resp.Header.Get(api.HeaderCache), experiments.ErrCheckFailed
 	}
@@ -396,9 +437,10 @@ func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.Pl
 		}
 		if resp.StatusCode == http.StatusInternalServerError && isEnv && env.Code == api.CodeInternal {
 			// `internal` is the code a tpserved answers for a failed
-			// driver run: a deterministic result, not a peer fault. The hop worked, so settle the
-			// breaker as a success and hand the failure back as is.
-			c.brk.Success(target)
+			// driver run: a deterministic result, not a peer fault. The
+			// hop worked, so count it as one and hand the failure back
+			// as is.
+			c.peerUp(target)
 			pc.forwardHits.Add(1)
 			return nil, "", fmt.Errorf("forward to %s: %w: %s", target, ErrOwnerFailed, msg)
 		}
@@ -406,8 +448,7 @@ func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.Pl
 		pc.forwardFails.Add(1)
 		if resp.StatusCode >= 500 {
 			// The peer is reachable but cannot serve (draining, timed
-			// out, or not a tpserved at all); our breaker routes
-			// around it.
+			// out, or not a tpserved at all); route around it.
 			c.peerFailed(target, err)
 		}
 		return nil, "", err
@@ -418,19 +459,9 @@ func (c *Cluster) fetchOnce(ctx context.Context, target string, e experiments.Pl
 		c.peerFailed(target, err)
 		return nil, "", fmt.Errorf("forward to %s: %w", target, err)
 	}
-	c.brk.Success(target)
+	c.peerUp(target)
 	pc.forwardHits.Add(1)
 	return body, resp.Header.Get(api.HeaderCache), nil
-}
-
-// peerFailed records one failed hop against a peer's breaker (the
-// call site counts it in the right per-peer counter).
-func (c *Cluster) peerFailed(target string, err error) {
-	wasOpen := c.brk.Open(target)
-	c.brk.Failure(target)
-	if !wasOpen && c.brk.Open(target) {
-		c.logf("peer %s marked down: %v", target, err)
-	}
 }
 
 // Replicate pushes a computed body to the key's ring successors
@@ -489,28 +520,31 @@ func (c *Cluster) replicateTo(target, key string, body []byte) {
 		return
 	}
 	c.replAcked.Add(1)
-	c.brk.Success(target)
+	c.peerUp(target)
 	if pc != nil {
 		pc.replicated.Add(1)
 	}
 }
 
 // Probe sweeps every peer's /healthz once, synchronously: a responsive
-// peer is marked alive (closing its breaker so routing recovers without
-// waiting out the cooldown), an unresponsive one is marked down. The
-// background loop calls this every ProbeInterval; tests call it
-// directly for deterministic health transitions.
+// peer is marked up (ending a hop trip's cooldown early, so routing
+// recovers without waiting it out), an unresponsive one is marked down
+// until a later probe succeeds. The background loop calls this every
+// ProbeInterval; tests call it directly for deterministic health
+// transitions.
 func (c *Cluster) Probe() {
-	for m := range c.peers {
+	for m, p := range c.peers {
 		c.probes.Add(1)
 		ok := c.probeOne(m)
 		c.mu.Lock()
-		was := c.down[m]
-		c.down[m] = !ok
-		c.mu.Unlock()
+		was := p.probeDown
 		if ok {
-			c.brk.Success(m)
+			p.markUp()
 		} else {
+			p.probeDown = true
+		}
+		c.mu.Unlock()
+		if !ok {
 			c.probeFails.Add(1)
 		}
 		if was != !ok {
@@ -524,7 +558,7 @@ func (c *Cluster) Probe() {
 }
 
 func (c *Cluster) probeOne(target string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+target+"/healthz", nil)
 	if err != nil {
@@ -556,6 +590,17 @@ type PeerStats struct {
 	ReplFails    uint64 `json:"replication_fails"`
 }
 
+// BreakerStats is the /metricz view of the hop rule: Threshold is how
+// many consecutive failed hops mark a peer down, Open how many peers
+// are marked down by hops with their cooldown still running (a peer
+// only a failed probe marked down is not counted), and Tripped how many
+// times a failed hop marked a peer down, renewals included.
+type BreakerStats struct {
+	Threshold int    `json:"threshold"`
+	Open      int    `json:"open"`
+	Tripped   uint64 `json:"tripped"`
+}
+
 // ReplicationStats tracks the write-behind pipeline; Pending is the
 // replication lag — copies scheduled but not yet acknowledged.
 type ReplicationStats struct {
@@ -567,21 +612,21 @@ type ReplicationStats struct {
 
 // Stats is the /metricz cluster section.
 type Stats struct {
-	Self            string             `json:"self"`
-	Members         []string           `json:"members"`
-	Replicas        int                `json:"replicas"`
-	Forwards        uint64             `json:"forwards"`       // outbound read-through attempts
-	ForwardShared   uint64             `json:"forward_shared"` // collapsed by the forwarding-hop singleflight
-	Proxied         uint64             `json:"proxied"`        // outbound whole-request proxies (sessions)
-	ProxyFails      uint64             `json:"proxy_fails"`
-	Failovers       uint64             `json:"failovers"`         // requests routed or degraded around a down shard
-	ReceivedForward uint64             `json:"received_forwards"` // inbound forwarded requests served
-	ReceivedReplica uint64             `json:"received_replicas"` // inbound replication PUTs accepted
-	Probes          uint64             `json:"probes"`
-	ProbeFails      uint64             `json:"probe_fails"`
-	Replication     ReplicationStats   `json:"replication"`
-	Peers           []PeerStats        `json:"peers"`
-	Breaker         fault.BreakerStats `json:"breaker"`
+	Self            string           `json:"self"`
+	Members         []string         `json:"members"`
+	Replicas        int              `json:"replicas"`
+	Forwards        uint64           `json:"forwards"`       // outbound read-through attempts
+	ForwardShared   uint64           `json:"forward_shared"` // collapsed by the forwarding-hop singleflight
+	Proxied         uint64           `json:"proxied"`        // outbound whole-request proxies (sessions)
+	ProxyFails      uint64           `json:"proxy_fails"`
+	Failovers       uint64           `json:"failovers"`         // requests routed or degraded around a down shard
+	ReceivedForward uint64           `json:"received_forwards"` // inbound forwarded requests served
+	ReceivedReplica uint64           `json:"received_replicas"` // inbound replication PUTs accepted
+	Probes          uint64           `json:"probes"`
+	ProbeFails      uint64           `json:"probe_fails"`
+	Replication     ReplicationStats `json:"replication"`
+	Peers           []PeerStats      `json:"peers"`
+	Breaker         BreakerStats     `json:"breaker"`
 }
 
 // Stats snapshots the cluster counters.
@@ -605,8 +650,16 @@ func (c *Cluster) Stats() Stats {
 			Failed:  c.replFailed.Load(),
 			Pending: c.replPending.Load(),
 		},
-		Breaker: c.brk.Stats(),
 	}
+	c.mu.Lock()
+	now := c.now()
+	st.Breaker = BreakerStats{Threshold: c.opts.BreakerThreshold, Tripped: c.tripped}
+	for _, p := range c.peers {
+		if now.Before(p.downUntil) {
+			st.Breaker.Open++
+		}
+	}
+	c.mu.Unlock()
 	addrs := make([]string, 0, len(c.peers))
 	for m := range c.peers {
 		addrs = append(addrs, m)

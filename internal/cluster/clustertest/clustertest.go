@@ -103,12 +103,11 @@ func Start(t testing.TB, opts Options) *TestCluster {
 	tc := &TestCluster{t: t}
 	for i := 0; i < n; i++ {
 		copts := cluster.Options{
-			Self:             addrs[i],
-			Peers:            addrs,
-			Replicas:         opts.Replicas,
-			BreakerThreshold: 1,
-			BreakerCooldown:  time.Minute, // probes close it; tests stay deterministic
-			ForwardTimeout:   30 * time.Second,
+			Self:            addrs[i],
+			Peers:           addrs,
+			Replicas:        opts.Replicas,
+			BreakerCooldown: time.Minute, // probes mark peers up; tests stay deterministic
+			ForwardTimeout:  30 * time.Second,
 		}
 		var netInj *fault.Net
 		if opts.Net != nil {
@@ -164,8 +163,8 @@ func Start(t testing.TB, opts Options) *TestCluster {
 	return tc
 }
 
-// closeAll drains every surviving node: HTTP first, then service (pool
-// + write-behind flushes), then sessions, then cluster (replication
+// closeAll drains every surviving node: HTTP first, then service (the
+// pool, whose workers finish their store writes), then sessions, then cluster (replication
 // pushes), then the store — the same order cmd/tpserved uses on
 // SIGTERM.
 func (tc *TestCluster) closeAll() {

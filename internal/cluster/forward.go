@@ -23,11 +23,11 @@ const proxyMaxBody = 1 << 20
 // SSE lives as long as the subscriber.
 //
 // The error contract mirrors FetchEntry: a transport failure before any
-// response counts against the peer's breaker and returns an error — the
+// response counts as a failed hop and returns an error — the
 // caller degrades to serving locally (lazy journal restore makes that
 // meaningful). Once the peer's response status is relayed, the request
 // is settled and ForwardRequest returns nil; a mid-stream peer death
-// still counts against the breaker so the client's retry routes to the
+// still counts as a failed hop so the client's retry routes to the
 // successor, while a vanished client is charged to nobody.
 func (c *Cluster) ForwardRequest(w http.ResponseWriter, r *http.Request, target string) error {
 	pc := c.peers[target]
@@ -76,7 +76,7 @@ func (c *Cluster) ForwardRequest(w http.ResponseWriter, r *http.Request, target 
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	c.brk.Success(target)
+	c.peerUp(target)
 	pc.forwardHits.Add(1)
 
 	flusher, _ := w.(http.Flusher)
@@ -100,8 +100,8 @@ func (c *Cluster) ForwardRequest(w http.ResponseWriter, r *http.Request, target 
 			if r.Context().Err() == nil {
 				// The peer died mid-body. The response is already
 				// committed (the client sees a truncated stream and
-				// retries), but the breaker learns so the retry routes
-				// to the successor.
+				// retries), but the failed hop is counted so the retry
+				// routes to the successor.
 				c.proxyFails.Add(1)
 				pc.forwardFails.Add(1)
 				c.peerFailed(target, rerr)

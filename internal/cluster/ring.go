@@ -7,9 +7,9 @@
 // local compute instead of ping-ponging); owners replicate computed
 // durable-store entries to their ring successors so a killed owner's
 // results survive on the shard that inherits its keys. Routing is
-// health-gated: peers are probed through the existing /healthz and
-// guarded by the per-peer circuit breaker (internal/fault), and any
-// forwarding failure falls back to local compute — the drivers are
+// health-gated: each peer has one health record, written by /healthz
+// probes and by the outcome of every hop to it, and any forwarding
+// failure falls back to local compute — the drivers are
 // deterministic, so every shard can always answer every request; the
 // cluster only makes the common case cheap, never a request fail.
 package cluster

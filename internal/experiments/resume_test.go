@@ -145,6 +145,9 @@ func TestCacheKeyStability(t *testing.T) {
 	if e.CacheKey() != key {
 		t.Error("CacheKey not deterministic")
 	}
+	if store.Key(e.CanonicalKey()) != key {
+		t.Error("CacheKey is not the store's content address of CanonicalKey")
+	}
 	e2 := e
 	e2.Config.Seed = 43
 	if e2.CacheKey() == key {

@@ -1,13 +1,15 @@
 // Package fault provides deterministic, seed-driven fault injection for
-// the parts of the serving stack that fail transiently — the
-// inter-shard network (Net) and the durable store's disk (Disk) — plus
-// the per-key circuit breaker the cluster layer answers peer failures
-// with (Breaker). Decisions are drawn from splitmix64 streams keyed by
-// the seed and the operation's identity, so a given seed reproduces the
-// exact same fault sequence no matter how goroutines interleave: chaos
-// runs are stable, and any failure can be replayed from its seed.
+// the parts of the serving stack that fail transiently: the
+// inter-shard network (Net) and the durable store's disk (Disk).
+// Decisions are drawn from splitmix64 streams keyed by the seed and the
+// operation's identity, so a given seed reproduces the exact same fault
+// sequence no matter how goroutines interleave: chaos runs are stable,
+// and any failure can be replayed from its seed.
 //
-// There is no driver fault injector: a driver run is a deterministic
+// The injectors are test harness, not production code: the store tests
+// pass Disk's hooks to store.Options, and internal/cluster/clustertest
+// routes peer traffic through Net. No command links this package. There
+// is no driver fault injector either: a driver run is a deterministic
 // function of its plan entry, so a real driver failure repeats on every
 // attempt and the service reports it once instead of retrying it.
 package fault

@@ -87,7 +87,7 @@ func (b *MemoryBus) Access(core int, now uint64) int {
 	}
 	// Prune bookkeeping for long-dead windows.
 	if w > b.pruneMark+256 {
-		for k := range b.usage {
+		for k := range b.usage { // order-free: only deletes entries
 			if k+128 < w {
 				delete(b.usage, k)
 				delete(b.coreUsage, k)

@@ -71,7 +71,7 @@ func (ic *IRQController) Unmask(lines ...int) {
 // order).
 func (ic *IRQController) Lines() []int {
 	out := make([]int, 0, len(ic.routing))
-	for l := range ic.routing {
+	for l := range ic.routing { // order-free: sorted below
 		out = append(out, l)
 	}
 	sort.Ints(out)
@@ -84,7 +84,7 @@ func (ic *IRQController) Lines() []int {
 // cross-domain interrupt slip through the mask.
 func (ic *IRQController) ProbeLatched(core int) []int {
 	var out []int
-	for l := range ic.latched {
+	for l := range ic.latched { // order-free: collects and deletes; sorted below
 		if ic.routing[l] == core {
 			out = append(out, l)
 			delete(ic.latched, l)
@@ -100,7 +100,7 @@ func (ic *IRQController) ProbeLatched(core int) []int {
 // race) even if masked. ok is false when nothing is deliverable. It
 // runs on every kernel step, so it scans without allocating.
 func (ic *IRQController) NextDeliverable(core int) (line int, ok bool) {
-	for l := range ic.pending {
+	for l := range ic.pending { // order-free: keeps the lowest deliverable line
 		if ic.routing[l] != core || (ok && l >= line) {
 			continue
 		}

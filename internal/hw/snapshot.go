@@ -16,7 +16,7 @@ import (
 // encodeIntMap writes an int->int map in sorted key order.
 func encodeIntMap(w *enc.Writer, m map[int]int) {
 	keys := make([]int, 0, len(m))
-	for k := range m {
+	for k := range m { // order-free: sorted below
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
@@ -47,7 +47,7 @@ func decodeIntMap(r *enc.Reader) map[int]int {
 // encodeIntSet writes an int->bool map (true members only, sorted).
 func encodeIntSet(w *enc.Writer, m map[int]bool) {
 	keys := make([]int, 0, len(m))
-	for k, v := range m {
+	for k, v := range m { // order-free: sorted below
 		if v {
 			keys = append(keys, k)
 		}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"sort"
 
 	"timeprotection/internal/memory"
 	"timeprotection/internal/trace"
@@ -143,13 +144,14 @@ func (img *Image) Zombie() bool { return img.zombie }
 // RunningOn returns the bitmap of cores currently executing this kernel.
 func (img *Image) RunningOn() uint64 { return img.runningOn }
 
-// IRQs returns the lines associated with this image (sorted order not
-// guaranteed).
+// IRQs returns the lines associated with this image in ascending
+// order.
 func (img *Image) IRQs() []int {
 	out := make([]int, 0, len(img.irqs))
-	for l := range img.irqs {
+	for l := range img.irqs { // order-free: sorted below
 		out = append(out, l)
 	}
+	sort.Ints(out)
 	return out
 }
 

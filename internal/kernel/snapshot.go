@@ -51,9 +51,7 @@ func (img *Image) encodeState(w *enc.Writer) {
 		memory.EncodePFNs(w, img.mem.Frames)
 	}
 	w.Int(int(img.idle.State))
-	irqs := img.IRQs()
-	sort.Ints(irqs)
-	w.Ints(irqs)
+	w.Ints(img.IRQs())
 	w.U64(img.PadCycles)
 	w.U64(img.runningOn)
 	parent := -1
@@ -127,9 +125,14 @@ func (k *Kernel) EncodeState(w *enc.Writer) error {
 			return fmt.Errorf("kernel: cannot encode with scheduled threads at priority %d", p)
 		}
 	}
-	for line, b := range k.irqBind {
-		if b.notif != nil || b.awaitingAck {
-			return fmt.Errorf("kernel: cannot encode with a notification bound to IRQ %d", line)
+	lines := make([]int, 0, len(k.irqBind))
+	for l := range k.irqBind { // order-free: sorted below
+		lines = append(lines, l)
+	}
+	sort.Ints(lines)
+	for _, l := range lines {
+		if b := k.irqBind[l]; b.notif != nil || b.awaitingAck {
+			return fmt.Errorf("kernel: cannot encode with a notification bound to IRQ %d", l)
 		}
 	}
 	if err := k.M.EncodeState(w); err != nil {
@@ -145,11 +148,6 @@ func (k *Kernel) EncodeState(w *enc.Writer) error {
 	for _, img := range k.Images {
 		img.encodeState(w)
 	}
-	lines := make([]int, 0, len(k.irqBind))
-	for l := range k.irqBind {
-		lines = append(lines, l)
-	}
-	sort.Ints(lines)
 	w.Int(len(lines))
 	for _, l := range lines {
 		w.Int(l)

@@ -211,7 +211,7 @@ func (as *AddressSpace) Translate(vaddr uint64) (Translation, bool) {
 // in ascending order.
 func (as *AddressSpace) sortedTops() []uint64 {
 	tops := make([]uint64, 0, len(as.tables))
-	for top := range as.tables {
+	for top := range as.tables { // order-free: sorted below
 		tops = append(tops, top)
 	}
 	slices.Sort(tops)

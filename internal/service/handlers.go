@@ -286,8 +286,7 @@ func (s *Server) handleArtefact(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	body, src, origin, err := s.result(ctx, entry, false, isForwarded(r))
 	if err != nil {
-		setRetryAfter(w, err)
-		s.fail(w, httpStatusFor(err), codeFor(err), entry.JobName(), "%s: %v", entry.JobName(), err)
+		s.failRun(w, entry, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -354,8 +353,7 @@ func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
 			w.Write(body)
 			return
 		}
-		setRetryAfter(w, err)
-		s.fail(w, httpStatusFor(err), codeFor(err), entry.JobName(), "%s: %v", entry.JobName(), err)
+		s.failRun(w, entry, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -388,8 +386,7 @@ func (s *Server) handleClusterReplica(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.opts.Store; st != nil {
 		// Update, not Put: session journals replicate repeatedly under
-		// one key, and Update's journal-first commit keeps the previous
-		// version recoverable if a crash lands mid-replace.
+		// one key, and Put would keep the first version forever.
 		if err := st.Update(key, body); err != nil {
 			s.fail(w, http.StatusBadRequest, api.CodeBadRequest, "", "replica put: %v", err)
 			return

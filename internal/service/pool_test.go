@@ -5,6 +5,9 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"timeprotection/internal/experiments"
+	"timeprotection/internal/hw"
 )
 
 func TestPoolRunsEverythingAndDrains(t *testing.T) {
@@ -116,14 +119,22 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestContentKeyStable pins the key the service's cache tiers are
+// addressed by: deterministic, distinct per request and 64 hex chars.
 func TestContentKeyStable(t *testing.T) {
-	if ContentKey("x") != ContentKey("x") {
-		t.Error("ContentKey not deterministic")
+	x := experiments.PlanEntry{
+		Artefact: mustArtefact(t, "table2"),
+		Config:   experiments.Config{Platform: hw.Haswell(), Samples: 30}.Canonical(),
 	}
-	if ContentKey("x") == ContentKey("y") {
-		t.Error("ContentKey collides trivially")
+	y := x
+	y.Config.Samples = 31
+	if x.CacheKey() != x.CacheKey() {
+		t.Error("content key not deterministic")
 	}
-	if len(ContentKey("x")) != 64 {
-		t.Errorf("ContentKey length %d, want 64 hex chars", len(ContentKey("x")))
+	if x.CacheKey() == y.CacheKey() {
+		t.Error("content key collides trivially")
+	}
+	if len(x.CacheKey()) != 64 {
+		t.Errorf("content key length %d, want 64 hex chars", len(x.CacheKey()))
 	}
 }

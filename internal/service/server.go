@@ -69,11 +69,11 @@ type Options struct {
 	// Store, when non-nil, is the durable tier under the in-memory
 	// cache (tpserved -store): the LRU becomes a read-through /
 	// write-behind fast tier over it. Memory misses consult the store
-	// (X-Cache: disk) before computing, and computed results are
-	// flushed to disk in the background — a restart then serves
-	// previously computed artefacts without recompute. The caller owns
-	// the store's lifecycle; close it after Server.Close so the drain's
-	// write-behind flushes land.
+	// (X-Cache: disk) before computing, and the worker that computed a
+	// result writes it to disk after handing it to its waiters — a
+	// restart then serves previously computed artefacts without
+	// recompute. The caller owns the store's lifecycle; close it after
+	// Server.Close, whose pool drain covers those writes.
 	Store *store.Store
 	// Cluster, when non-nil, shards the content-addressed key space
 	// across peers (tpserved -peers/-self): a request whose key is
@@ -137,12 +137,6 @@ func NewCache(max int) *memo.LRU[string, []byte] {
 	return memo.NewLRU[string, []byte](max, func(b []byte) int64 { return int64(len(b)) })
 }
 
-// ContentKey hashes a canonical request description into the cache's
-// address space, which is the durable store's: the two tiers share
-// keys, and requests that mean the same run share an entry however they
-// were spelled.
-func ContentKey(canonical string) string { return store.Key(canonical) }
-
 // Cache-source values result reports and X-Cache carries. The strings
 // themselves live in internal/api — the one home of the wire protocol,
 // shared with internal/cluster — these are just short local names.
@@ -161,14 +155,6 @@ type Server struct {
 	flights memo.Group[string, []byte]
 	pool    *Pool
 	mux     *http.ServeMux
-
-	// fills tracks in-flight write-behind store flushes (and nothing
-	// else): Close waits on it after draining the pool, so a SIGTERM
-	// arriving between a computed result and its disk flush cannot lose
-	// the bytes. Background cache fills themselves — driver runs whose
-	// waiter timed out — run on pool workers and are drained by
-	// pool.Close; this group covers the store writes those fills spawn.
-	fills sync.WaitGroup
 
 	// disp is the consistent artefact-request disposition ledger; see
 	// dispositions.
@@ -241,23 +227,12 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Close drains the worker pool, then waits for write-behind store
-// flushes (graceful SIGTERM shutdown: the HTTP listener stops first,
-// in-flight computes — including background fills whose client timed
-// out — finish on the pool, and every computed result's disk flush
-// lands before Close returns). The order matters: flush goroutines are
-// spawned from pool tasks, so the pool drain happens-before the last
-// fills.Add, making the Wait race-free and complete.
-func (s *Server) Close() {
-	s.pool.Close()
-	s.fills.Wait()
-}
-
-// entryKey is the canonical identity of a plan entry — the string the
-// content-addressed cache hashes. It lives on PlanEntry so tpbench's
-// durable store and this cache share one key space: a store directory
-// filled by either front-end answers the other.
-func entryKey(e experiments.PlanEntry) string { return e.CanonicalKey() }
+// Close drains the worker pool (graceful SIGTERM shutdown: the HTTP
+// listener stops first, then in-flight computes — including background
+// fills whose client timed out — finish on the pool). Each task writes
+// its result to the store before its worker takes the next one, so
+// every computed result's disk write lands before Close returns.
+func (s *Server) Close() { s.pool.Close() }
 
 // runSafely invokes the runner with panic isolation: a panicking driver
 // is converted to an ErrRunnerPanic-wrapped error carrying the panic
@@ -272,49 +247,39 @@ func (s *Server) runSafely(e experiments.PlanEntry) (out string, err error) {
 	return s.opts.Runner(e)
 }
 
-// compute is the task the pool executes: run the driver once and, on
-// success, fill the cache, the store and the replicas. A failure (a
-// failed check's verdict included) is returned to the waiters and
-// leaves no trace, so the next request for the key runs it afresh.
-func (s *Server) compute(e experiments.PlanEntry, key string) ([]byte, error) {
+// outcome is one driver run's result as its waiters receive it.
+type outcome struct {
+	body []byte
+	err  error
+}
+
+// compute is the task the pool executes: run the driver once and hand
+// the result to the waiters. A success fills the cache first, so a
+// request arriving after the hand-off hits; then, still on this worker,
+// it is replicated to the key's ring successors (the cluster tracks
+// those pushes and its Close drains them) and written to the durable
+// store — a store error degrades to recompute-after-restart and is
+// counted by the store's own stats. A failure (a failed check's verdict
+// included) leaves no trace, so the next request for the key runs it
+// afresh.
+func (s *Server) compute(e experiments.PlanEntry, key string, done chan<- outcome) {
 	s.runs.Add(1)
 	out, err := s.runSafely(e)
 	body := []byte(out)
 	if err == nil {
 		s.cache.Put(key, body)
-		s.flushBehind(key, body)
-		s.replicateBehind(key, body)
 	}
-	return body, err
-}
-
-// flushBehind persists a computed body to the durable store without
-// blocking the response (write-behind). The flush is tracked by the
-// fills waitgroup so the shutdown drain waits for it; a store write
-// error degrades to recompute-after-restart and is counted by the
-// store's own stats.
-func (s *Server) flushBehind(key string, body []byte) {
-	st := s.opts.Store
-	if st == nil {
+	done <- outcome{body, err}
+	if err != nil {
 		return
 	}
-	s.fills.Add(1)
-	go func() {
-		defer s.fills.Done()
-		if err := st.Put(key, body); err != nil && s.opts.AccessLog != nil {
-			s.opts.AccessLog.Printf("store flush failed: %v", err)
-		}
-	}()
-}
-
-// replicateBehind pushes a computed body to the key's ring successors
-// when clustering is on (write-behind; the cluster tracks the pushes
-// and its Close drains them). Whichever shard computed the entry
-// replicates it — normally the owner; after a failover, the shard that
-// absorbed the key.
-func (s *Server) replicateBehind(key string, body []byte) {
 	if cl := s.opts.Cluster; cl != nil {
 		cl.Replicate(key, body)
+	}
+	if st := s.opts.Store; st != nil {
+		if err := st.Put(key, body); err != nil && s.opts.AccessLog != nil {
+			s.opts.AccessLog.Printf("store write failed: %v", err)
+		}
 	}
 }
 
@@ -336,7 +301,7 @@ func (s *Server) result(ctx context.Context, e experiments.PlanEntry, block, for
 }
 
 func (s *Server) lookupOrCompute(ctx context.Context, e experiments.PlanEntry, block, forwarded bool) ([]byte, string, string, error) {
-	key := ContentKey(entryKey(e))
+	key := e.CacheKey()
 	if body, ok := s.cache.Get(key); ok {
 		return body, srcHit, "", nil
 	}
@@ -381,15 +346,8 @@ func (s *Server) lookupOrCompute(ctx context.Context, e experiments.PlanEntry, b
 		if body, ok := s.cache.Peek(key); ok {
 			return body, nil
 		}
-		type outcome struct {
-			body []byte
-			err  error
-		}
 		done := make(chan outcome, 1)
-		task := func() {
-			body, err := s.compute(e, key)
-			done <- outcome{body, err}
-		}
+		task := func() { s.compute(e, key, done) }
 		var submitErr error
 		if block {
 			submitErr = s.pool.Submit(ctx, task)
@@ -405,47 +363,26 @@ func (s *Server) lookupOrCompute(ctx context.Context, e experiments.PlanEntry, b
 		case <-ctx.Done():
 			// The driver keeps running on its worker and will still
 			// populate the cache and store (the shutdown drain waits
-			// for both); only this waiter gives up.
+			// for the task); only this waiter gives up.
 			return nil, ctx.Err()
 		}
 	})
 	return body, srcMiss, "", err
 }
 
-// httpStatusFor maps compute errors onto response codes; codeFor maps
-// the same errors onto envelope error codes. Keep the two switches
-// aligned.
-func httpStatusFor(err error) int {
+// failRun answers a plan entry whose result is an error: the error
+// picks the status and envelope code together, and a draining pool's
+// 503 carries the same flat Retry-After second the shedding path sends.
+func (s *Server) failRun(w http.ResponseWriter, e experiments.PlanEntry, err error) {
+	status, code := http.StatusInternalServerError, api.CodeInternal
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
+		status, code = http.StatusTooManyRequests, api.CodeQueueFull
 	case errors.Is(err, ErrPoolClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-func codeFor(err error) api.ErrorCode {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return api.CodeQueueFull
-	case errors.Is(err, ErrPoolClosed):
-		return api.CodeUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return api.CodeTimeout
-	default:
-		return api.CodeInternal
-	}
-}
-
-// setRetryAfter stamps a Retry-After hint on a draining pool's 503,
-// matching the flat second the shedding path already sends. Other
-// errors leave the header unset.
-func setRetryAfter(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrPoolClosed) {
+		status, code = http.StatusServiceUnavailable, api.CodeUnavailable
 		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		status, code = http.StatusGatewayTimeout, api.CodeTimeout
 	}
+	s.fail(w, status, code, e.JobName(), "%s: %v", e.JobName(), err)
 }

@@ -40,7 +40,7 @@ func TestRestartServesFromDisk(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get(api.HeaderCache) != "miss" {
 		t.Fatalf("first boot: %d X-Cache=%q", resp.StatusCode, resp.Header.Get(api.HeaderCache))
 	}
-	// SIGTERM: listener closes, drain waits for write-behind flushes.
+	// SIGTERM: listener closes, the pool drain waits for the store writes.
 	ts1.Close()
 	s1.Close()
 	if err := st1.Close(); err != nil {

@@ -77,9 +77,6 @@ type Options struct {
 	// MIWindow emits a live MI update on the stream every MIWindow
 	// collected samples (default 25; 0 disables the updates).
 	MIWindow int
-	// TraceRing is the per-session trace.Sink ring capacity backing
-	// the live feed (default 4096).
-	TraceRing int
 	// Clock is the time source (default time.Now; tests inject).
 	Clock func() time.Time
 
@@ -128,9 +125,6 @@ func (o Options) withDefaults() Options {
 		o.MIWindow = 0
 	} else if o.MIWindow == 0 {
 		o.MIWindow = 25
-	}
-	if o.TraceRing < 1 {
-		o.TraceRing = 4096
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now

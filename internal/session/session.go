@@ -65,13 +65,9 @@ type Spec struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// MaxPadMicros bounds a session's switch padding at one second: four
-// orders of magnitude above the paper's 58.8/62.5 µs pads. Its cycle
-// count (3.4e9 on Haswell, 8e8 on Sabre) fits a uint64 with room for
-// billions of padded switches before a core's clock could overflow; an
-// unbounded pad past about 5.4e15 µs would make the float-to-uint64
-// conversion in Platform.MicrosToCycles implementation-defined.
-const MaxPadMicros = 1e6
+// MaxPadMicros bounds a session's switch padding; it is the channel
+// layer's bound (channel.MaxPadMicros), which tpattack -pad obeys too.
+const MaxPadMicros = channel.MaxPadMicros
 
 // withDefaults validates the spec and fills the declaration-level
 // defaults, returning the normalized form a session echoes back.
@@ -231,12 +227,16 @@ type Session struct {
 	dropped   atomic.Uint64
 }
 
+// traceRing is the per-session trace.Sink ring capacity backing the
+// live feed.
+const traceRing = 4096
+
 // newSession boots (snapshot-forks) the machine and prepares the
 // attack; the registry assigns the ID at insertion.
 func newSession(r *Registry, spec Spec) (*Session, error) {
 	var sink *trace.Sink
 	if spec.Trace != TraceOff {
-		sink = trace.NewSink(r.opts.TraceRing)
+		sink = trace.NewSink(traceRing)
 	}
 	cs := spec.channelSpec(sink)
 	c, _ := channel.LookupSteppable(spec.Channel)

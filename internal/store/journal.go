@@ -53,7 +53,7 @@ func (s *Store) appendLocked(r record, sync bool) error {
 // journal. Damage never fails recovery — it is counted, quarantined
 // where a file exists, and the entry degrades to a recompute.
 func (s *Store) recover() error {
-	// A crash mid-Put leaves partial staging files; none are
+	// A crash mid-commit leaves partial staging files; none are
 	// committed, so all are garbage.
 	if tmps, err := os.ReadDir(s.path("tmp")); err == nil {
 		for _, t := range tmps {
@@ -104,9 +104,10 @@ func (s *Store) recover() error {
 		}
 	}
 
-	// Object files the journal does not vouch for (a crash between
-	// rename and journal append) have no checksum to verify against:
-	// quarantine rather than trust or delete them.
+	// Object files the journal does not vouch for (a failed commit
+	// whose rename landed, or records lost past a torn journal line)
+	// have no checksum to verify against: quarantine rather than trust
+	// or delete them.
 	if objs, err := os.ReadDir(s.path("objects")); err == nil {
 		for _, o := range objs {
 			if _, ok := s.index[o.Name()]; !ok {
@@ -167,8 +168,8 @@ func (s *Store) replayJournal() (prev map[string]record, updated map[string]bool
 			if el, ok := s.index[r.Key]; ok {
 				e := el.Value.(*entry)
 				if e.sum == r.Sum && e.size == r.Size {
-					// Duplicate put (journal race no-op): refresh
-					// recency only.
+					// Duplicate put (a failed commit re-journalled
+					// the version it replaced): refresh recency only.
 					s.ll.MoveToFront(el)
 					continue
 				}

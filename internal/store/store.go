@@ -17,14 +17,17 @@
 //	                under a key this build never writes, are moved
 //	                here (never deleted) for post-mortem
 //
-// Write discipline mirrors a write-back cache flushing a dirty line:
-// the body is staged in tmp/ and fsynced, renamed into objects/ (the
-// atomic commit point), the directory is fsynced, and only then is the
-// entry journalled (fsynced append). A crash at any point leaves either
-// no trace (swept tmp file), an unjournalled object (quarantined at
-// next Open), or a fully committed entry — never a half-entry the index
-// trusts. Reads re-hash the body and quarantine on mismatch, so even
-// bit rot degrades to a recompute, never to serving wrong bytes.
+// Write discipline mirrors a write-back cache flushing a dirty line,
+// and there is one commit order for every write: the fsynced journal
+// record lands first, then the body is staged in tmp/ and fsynced,
+// renamed into objects/ (the atomic commit point), and the directory is
+// fsynced. A crash at any point leaves either no trace (swept tmp
+// file), a journalled entry whose file is gone (Missing at next Open),
+// an updated entry whose file still holds the previous version
+// (Reverted at next Open), or a fully committed entry — never a
+// half-written entry the index trusts. Reads re-hash the body and
+// quarantine on mismatch, so even bit rot degrades to a recompute,
+// never to serving wrong bytes.
 package store
 
 import (
@@ -39,7 +42,7 @@ import (
 	"sync"
 )
 
-// ErrClosed is returned by Put after Close.
+// ErrClosed is returned by Put and Update after Close.
 var ErrClosed = errors.New("store closed")
 
 // Hooks intercepts the store's runtime disk mutations for fault
@@ -47,7 +50,8 @@ var ErrClosed = errors.New("store closed")
 // field selects the real operation. Hooks are crash-faithful: a failing
 // WriteFile may leave a partial tmp file (swept at next Open, like a
 // real crash would) and a failing Rename may have completed the rename
-// (producing an unjournalled orphan, quarantined at next Open).
+// (the commit then journals a deletion, so the file is an orphan,
+// quarantined at next Open).
 // Recovery itself never goes through hooks — Open must stay reliable
 // even while the injector rages.
 type Hooks struct {
@@ -130,7 +134,7 @@ type Store struct {
 	klocks map[string]*keyLock
 }
 
-// keyLock serializes Updates per key: a later Update's rename must
+// keyLock serializes commits per key: a later commit's rename must
 // never land before an earlier one's journal record, or the journal
 // would vouch for bytes the object no longer holds.
 type keyLock struct {
@@ -294,82 +298,30 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return data, true
 }
 
-// Put durably stores a body under a key: staged write + fsync, atomic
-// rename, directory fsync, fsynced journal append. Re-putting an
-// existing key is a no-op (bodies are deterministic). On error the
-// entry is simply absent — a half-written staging file waits for the
-// next Open's sweep, exactly like a crash.
-func (s *Store) Put(key string, body []byte) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if s.journal == nil {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if _, ok := s.index[key]; ok {
-		s.mu.Unlock()
-		return nil
-	}
-	s.tmpSeq++
-	tmp := filepath.Join(s.path("tmp"), fmt.Sprintf("%s.%d", key, s.tmpSeq))
-	s.mu.Unlock()
-
-	if err := s.writeFile(tmp, body); err != nil {
-		s.fail(err)
-		return fmt.Errorf("store: write %s: %w", key, err)
-	}
-	dst := s.objectPath(key)
-	if err := s.rename(tmp, dst); err != nil {
-		s.fail(err)
-		return fmt.Errorf("store: commit %s: %w", key, err)
-	}
-	if err := syncDir(filepath.Dir(dst)); err != nil {
-		s.fail(err)
-		return fmt.Errorf("store: sync objects dir: %w", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil {
-		return ErrClosed
-	}
-	if _, ok := s.index[key]; ok {
-		// A concurrent Put of the same key won the journal race; our
-		// rename overwrote the object with identical bytes.
-		s.stats.Puts++
-		return nil
-	}
-	e := &entry{key: key, sum: bodySum(body), size: int64(len(body))}
-	if err := s.appendLocked(record{Op: opPut, Key: key, Sum: e.sum, Size: e.size}, true); err != nil {
-		// The object is on disk but unjournalled — next Open will
-		// quarantine it as an orphan; this Put reports failure.
-		s.stats.PutErrors++
-		return fmt.Errorf("store: journal %s: %w", key, err)
-	}
-	s.index[key] = s.ll.PushFront(e)
-	s.bytes += e.size
-	s.stats.Puts++
-	s.gcLocked()
-	return nil
-}
+// Put durably stores a content-addressed body under a key. Bodies
+// under such keys never legally change, so re-putting a present key is
+// a no-op; a new key commits exactly as Update does. On error the entry
+// is simply absent and the caller recomputes.
+func (s *Store) Put(key string, body []byte) error { return s.commit(key, body, false) }
 
 // Update durably replaces the body stored under a key. Put is for
 // content-addressed entries whose bytes never legally change; Update is
 // for the few keys that evolve in place — session journals ("sess-*"
 // keys). An update whose body already matches the stored checksum only
 // refreshes recency.
-//
-// The commit order inverts Put's: the fsynced journal record (new
-// checksum) lands *before* the staged write + rename. Updates replace
-// bytes the journal already vouches for, so the dangerous crash window
-// is between the two steps — with this order the object file then still
-// matches the *previous* record, and recover rolls the entry back to it
-// (see Reverted). The key degrades to its last durable version, never
-// to quarantine. A non-crash commit failure re-journals the previous
-// version immediately so journal and file agree again.
-func (s *Store) Update(key string, body []byte) error {
+func (s *Store) Update(key string, body []byte) error { return s.commit(key, body, true) }
+
+// commit is the store's one write path, serialized per key. The fsynced
+// journal record (new checksum) lands *before* the staged write +
+// rename, so the dangerous crash window is between the two steps: a new
+// key then has a record but no file (Missing at next Open), and a
+// replaced key's file still matches the *previous* record, which
+// recover rolls the entry back to (see Reverted) — the key degrades to
+// its last durable version, never to quarantine. A non-crash commit
+// failure re-journals the previous version (or a deletion) immediately
+// so journal and file agree again. replace selects Update's semantics
+// over Put's no-op on a present key; Puts and Updates count each.
+func (s *Store) commit(key string, body []byte, replace bool) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
@@ -387,7 +339,11 @@ func (s *Store) Update(key string, body []byte) error {
 	var prev *entry
 	if el, ok := s.index[key]; ok {
 		e := el.Value.(*entry)
-		if e.sum == sum {
+		switch {
+		case !replace:
+			s.mu.Unlock()
+			return nil
+		case e.sum == sum:
 			s.ll.MoveToFront(el)
 			s.appendLocked(record{Op: opAccess, Key: key}, false)
 			s.stats.Updates++
@@ -423,8 +379,8 @@ func (s *Store) Update(key string, body []byte) error {
 			}
 		}
 		s.mu.Unlock()
-		s.logf("update %s failed: %v", key, err)
-		return fmt.Errorf("store: update %s: %w", key, err)
+		s.logf("commit %s failed: %v", key, err)
+		return fmt.Errorf("store: commit %s: %w", key, err)
 	}
 
 	s.mu.Lock()
@@ -438,16 +394,13 @@ func (s *Store) Update(key string, body []byte) error {
 		s.index[key] = s.ll.PushFront(&entry{key: key, sum: sum, size: size})
 		s.bytes += size
 	}
-	s.stats.Updates++
+	if replace {
+		s.stats.Updates++
+	} else {
+		s.stats.Puts++
+	}
 	s.gcLocked()
 	return nil
-}
-
-func (s *Store) fail(err error) {
-	s.mu.Lock()
-	s.stats.PutErrors++
-	s.mu.Unlock()
-	s.logf("put failed: %v", err)
 }
 
 // writeFile stages data at path with create+write+fsync, through the
@@ -557,8 +510,8 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Close fsyncs and closes the journal. Further Puts fail with
-// ErrClosed; Gets keep answering from the recovered index.
+// Close fsyncs and closes the journal. Further Puts and Updates fail
+// with ErrClosed; Gets keep answering from the recovered index.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -61,7 +61,7 @@ func CrossDomainHits(events []Event, sharedUnits map[Unit]bool, filter func(addr
 		case CacheEvict:
 			delete(last, key(e))
 		case CacheFlush:
-			for k := range last {
+			for k := range last { // order-free: only deletes entries
 				if k.unit == e.Unit && (sharedUnits[e.Unit] || k.core == e.Core) {
 					delete(last, k)
 				}
@@ -147,7 +147,7 @@ func SymbolMeans(windows []SampleWindow, val func(SampleWindow) float64) map[int
 		n[w.Symbol]++
 	}
 	out := make(map[int]float64, len(sum))
-	for s, t := range sum {
+	for s, t := range sum { // order-free: fills another map
 		out[s] = t / float64(n[s])
 	}
 	return out
